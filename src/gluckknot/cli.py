@@ -55,6 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _coset_bound(text: str) -> int:
+    """Type of --max-cosets and --max: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid bound {text!r}: expected an integer >= 1"
+        )
+    return value
+
+
 def _report(command: str, payload: dict) -> dict:
     return {"tool_version": __version__, "seed": 0, "command": command, **payload}
 
@@ -277,7 +290,7 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument(
         "--max-cosets",
-        type=int,
+        type=_coset_bound,
         default=10000,
         help="coset enumeration bound (default 10000)",
     )
@@ -309,7 +322,7 @@ def build_parser() -> _Parser:
     p_enum.add_argument("presentation")
     p_enum.add_argument("--subgroup", help="comma-separated subgroup words")
     p_enum.add_argument(
-        "--max", type=int, dest="max_alias", default=None,
+        "--max", type=_coset_bound, dest="max_alias", default=None,
         help="alias for --max-cosets",
     )
     p_enum.set_defaults(func=cmd_enum)

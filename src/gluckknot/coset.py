@@ -18,14 +18,17 @@ class _TableOverflow(Exception):
 
 
 class CosetTable:
-    """Mutable enumeration state: one row per coset, one column per signed
-    generator.  Dead cosets forward to their replacement union-find style."""
+    """Mutable enumeration state in one flat list of ints: row c occupies
+    table[c * ncols : (c + 1) * ncols], one column per signed generator, and
+    -1 marks an undefined entry.  Dead cosets forward to their replacement
+    union-find style."""
 
     def __init__(self, ngens: int, max_cosets: int):
         self.ngens = ngens
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self.table: list[list[Optional[int]]] = [[None] * self.ncols]
+        self._blank_row = (-1,) * self.ncols
+        self.table: list[int] = list(self._blank_row)
         self.parent: list[int] = [0]
 
     @staticmethod
@@ -33,32 +36,31 @@ class CosetTable:
         g = abs(letter) - 1
         return 2 * g if letter > 0 else 2 * g + 1
 
-    @staticmethod
-    def inv_col(col: int) -> int:
-        return col ^ 1
-
-    def is_live(self, c: int) -> bool:
-        return self.parent[c] == c
-
-    def live_cosets(self) -> list[int]:
-        return [c for c in range(len(self.table)) if self.is_live(c)]
+    @classmethod
+    def compile(cls, word: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Forward and inverse column sequences of a word.  Scans take them
+        precompiled, so an enumeration compiles each relator once."""
+        cols = tuple(cls.col(a) for a in word.letters)
+        return cols, tuple(c ^ 1 for c in cols)
 
     def rep(self, c: int) -> int:
+        parent = self.parent
         root = c
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[c] != root:
-            self.parent[c], c = root, self.parent[c]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
     def define(self, c: int, col: int) -> int:
-        if len(self.table) >= self.max_cosets:
+        d = len(self.parent)
+        if d >= self.max_cosets:
             raise _TableOverflow
-        d = len(self.table)
-        self.table.append([None] * self.ncols)
+        n = self.ncols
         self.parent.append(d)
-        self.table[c][col] = d
-        self.table[d][self.inv_col(col)] = c
+        self.table.extend(self._blank_row)
+        self.table[c * n + col] = d
+        self.table[d * n + (col ^ 1)] = c
         return d
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
@@ -69,67 +71,91 @@ class CosetTable:
             queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
+        table, n, rep = self.table, self.ncols, self.rep
         queue: list[int] = []
         self._merge(a, b, queue)
-        i = 0
-        while i < len(queue):
-            dead = queue[i]
-            i += 1
-            for col in range(self.ncols):
-                d = self.table[dead][col]
-                if d is None:
+        for dead in queue:  # _merge appends while this loop runs
+            base = dead * n
+            for col in range(n):
+                d = table[base + col]
+                if d < 0:
                     continue
-                self.table[d][self.inv_col(col)] = None
-                mu, nu = self.rep(dead), self.rep(d)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][self.inv_col(col)] is not None:
-                    self._merge(mu, self.table[nu][self.inv_col(col)], queue)
+                inv = col ^ 1
+                table[d * n + inv] = -1
+                mu, nu = rep(dead), rep(d)
+                e = table[mu * n + col]
+                if e >= 0:
+                    self._merge(nu, e, queue)
+                    continue
+                e = table[nu * n + inv]
+                if e >= 0:
+                    self._merge(mu, e, queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][self.inv_col(col)] = mu
+                    table[mu * n + col] = nu
+                    table[nu * n + inv] = mu
 
-    def scan_and_fill(self, start: int, word: Sequence[int]) -> None:
-        cols = [self.col(a) for a in word]
-        back_cols = [self.col(-a) for a in word]
-        while True:
+    def scan_and_fill(
+        self, start: int, cols: Sequence[int], back: Sequence[int]
+    ) -> None:
+        """Scan a compiled, freely reduced word from `start`, defining cosets
+        at the first gap until it closes or deduces.
+
+        Defining fills one gap and changes no other entry, so both scans
+        resume where they stopped instead of restarting from `start`.
+        """
+        table, parent, n = self.table, self.parent, self.ncols
+        length = len(cols)
+        if parent[start] != start:
             start = self.rep(start)
-            f, i = start, 0
-            while i < len(cols) and self.table[f][cols[i]] is not None:
-                f = self.rep(self.table[f][cols[i]])
+        f, i = start, 0
+        b, j = start, length - 1
+        while True:
+            while i < length:
+                d = table[f * n + cols[i]]
+                if d < 0:
+                    break
+                f = d if parent[d] == d else self.rep(d)
                 i += 1
-            if i == len(cols):
+            if i == length:
                 if f != start:
                     self.coincidence(f, start)
                 return
-            b, j = start, len(cols) - 1
-            while j >= i and self.table[b][back_cols[j]] is not None:
-                b = self.rep(self.table[b][back_cols[j]])
+            while j >= i:
+                d = table[b * n + back[j]]
+                if d < 0:
+                    break
+                b = d if parent[d] == d else self.rep(d)
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                self.table[f][cols[i]] = b
-                self.table[b][back_cols[i]] = f
+                table[f * n + cols[i]] = b
+                table[b * n + back[i]] = f
                 return
-            self.define(f, cols[i])
+            f = self.define(f, cols[i])
+            i += 1
+
+    def live_cosets(self) -> list[int]:
+        parent = self.parent
+        return [c for c in range(len(parent)) if parent[c] == c]
+
+    def is_complete(self) -> bool:
+        table, n = self.table, self.ncols
+        return all(-1 not in table[c * n : c * n + n] for c in self.live_cosets())
 
     def compact(self) -> list[list[int]]:
         """Renumber live cosets 0..n-1 and resolve entries through reps.
         Requires a complete table."""
+        if not self.is_complete():
+            raise ValueError("table is not complete")
+        n = self.ncols
         live = self.live_cosets()
         index = {c: k for k, c in enumerate(live)}
-        out = []
-        for c in live:
-            row = []
-            for col in range(self.ncols):
-                entry = self.table[c][col]
-                if entry is None:
-                    raise ValueError("table is not complete")
-                row.append(index[self.rep(entry)])
-            out.append(row)
-        return out
+        return [
+            [index[self.rep(e)] for e in self.table[c * n : c * n + n]]
+            for c in live
+        ]
 
 
 @dataclass(frozen=True)
@@ -143,22 +169,21 @@ class EnumerationOutcome:
     table: Optional[tuple[tuple[int, ...], ...]] = None
 
 
-def _trace(table: list[list[int]], start: int, word: Word) -> int:
-    c = start
-    for a in word.letters:
-        c = table[c][CosetTable.col(a)]
-    return c
-
-
 def _replay(
     table: list[list[int]], relators: Sequence[Word], subgroup: Sequence[Word]
 ) -> None:
+    def trace(c: int, cols: tuple[int, ...]) -> int:
+        for col in cols:
+            c = table[c][col]
+        return c
+
+    relator_cols = [CosetTable.compile(r)[0] for r in relators]
     for c in range(len(table)):
-        for r in relators:
-            if _trace(table, c, r) != c:
+        for cols in relator_cols:
+            if trace(c, cols) != c:
                 raise AssertionError("relator does not close on the final table")
     for w in subgroup:
-        if _trace(table, 0, w) != 0:
+        if trace(0, CosetTable.compile(w)[0]) != 0:
             raise AssertionError("subgroup word moves the base coset")
 
 
@@ -179,30 +204,29 @@ def enumerate_cosets(
         if w.max_generator() >= p.ngens:
             raise ValueError(f"subgroup word {w!r} uses an unknown generator")
     ct = CosetTable(p.ngens, max_cosets)
+    table, parent, n = ct.table, ct.parent, ct.ncols
+    relators = [ct.compile(r) for r in p.relators]
     try:
         for w in subgroup_words:
-            ct.scan_and_fill(0, w.letters)
+            ct.scan_and_fill(0, *ct.compile(w))
         while True:
             alpha = 0
-            while alpha < len(ct.table):
-                if not ct.is_live(alpha):
+            while alpha < len(parent):
+                if parent[alpha] != alpha:
                     alpha += 1
                     continue
-                for r in p.relators:
-                    ct.scan_and_fill(alpha, r.letters)
-                    if not ct.is_live(alpha):
+                for cols, back in relators:
+                    ct.scan_and_fill(alpha, cols, back)
+                    if parent[alpha] != alpha:
                         break
-                if ct.is_live(alpha):
-                    for col in range(ct.ncols):
-                        if ct.table[alpha][col] is None:
+                else:
+                    base = alpha * n
+                    for col in range(n):
+                        if table[base + col] < 0:
                             ct.define(alpha, col)
                 alpha += 1
             # a late coincidence can clear an entry of an earlier live row
-            if all(
-                ct.table[c][col] is not None
-                for c in ct.live_cosets()
-                for col in range(ct.ncols)
-            ):
+            if ct.is_complete():
                 break
     except _TableOverflow:
         return EnumerationOutcome(finite=False, order=None, max_cosets=max_cosets)

@@ -13,7 +13,13 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .intmatrix import IntMatrix, cokernel, kernel_basis, primitive_vector
-from .laurent import LaurentPolynomial, divides, laurent_gcd, unit_equivalent
+from .laurent import (
+    LaurentPolynomial,
+    divides,
+    laurent_determinant,
+    laurent_gcd,
+    unit_equivalent,
+)
 from .words import Presentation, Word
 
 
@@ -133,8 +139,10 @@ def solve_orientation_weights(p: Presentation) -> tuple[int, ...]:
             f"abelianization has free rank {ab.rank}, expected 1 (H1 = {ab})"
         )
     basis = kernel_basis(matrix)
-    # rank-1 free part means the kernel is one-dimensional
-    assert len(basis) == 1
+    if len(basis) != 1:
+        raise FoxInternalError(
+            f"free rank 1 but a kernel basis of {len(basis)} vectors"
+        )
     return tuple(primitive_vector(basis[0]))
 
 
@@ -203,41 +211,17 @@ class AlexanderResult:
     weights: tuple[int, ...]
 
 
-def _minor_determinant(
-    matrix: AlexanderMatrix, row_idx: tuple[int, ...], col_idx: tuple[int, ...]
-) -> LaurentPolynomial:
-    sub = [[matrix.entries[i][j] for j in col_idx] for i in row_idx]
-
-    def det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-        n = len(m)
-        if n == 0:
-            return LaurentPolynomial.constant(1)
-        if n == 1:
-            return m[0][0]
-        total = LaurentPolynomial.zero()
-        for j in range(n):
-            if m[0][j].is_zero():
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = m[0][j] * det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-    return det(sub)
-
-
 def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
-    """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count."""
+    """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count,
+    rows before columns in lexicographic order.  With no relators the one
+    0 x 0 minor is 1."""
     matrix = alexander_matrix(p)
-    n = matrix.cols
-    k = n - 1
-    if matrix.rows < k or len(p.relators) == 0:
-        return []
-    minors = []
-    for row_idx in combinations(range(matrix.rows), k):
-        for col_idx in combinations(range(n), k):
-            minors.append(_minor_determinant(matrix, row_idx, col_idx))
-    return minors
+    k = matrix.cols - 1
+    return [
+        laurent_determinant([[matrix.entries[i][j] for j in col_idx] for i in row_idx])
+        for row_idx in combinations(range(matrix.rows), k)
+        for col_idx in combinations(range(matrix.cols), k)
+    ]
 
 
 def alexander_polynomial(p: Presentation) -> AlexanderResult:

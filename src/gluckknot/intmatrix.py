@@ -5,10 +5,10 @@ All arithmetic is arbitrary-precision; no floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 
 class IntMatrix:
@@ -73,31 +73,50 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
+R = TypeVar("R")
+
+
+def bareiss(
+    rows: Sequence[Sequence[R]],
+    mul: Callable[[R, R], R],
+    sub: Callable[[R, R], R],
+    div: Callable[[R, R], R],
+    one: R,
+) -> tuple[R, bool]:
+    """Determinant of a square matrix over an integral domain by fraction-free
+    elimination (Bareiss 1968, Sylvester's identity): every intermediate
+    entry is a minor of the input, so each division by the previous pivot is
+    exact.  A falsy entry is zero; `div` divides exactly and `one` is the
+    ring's unit.  Returns the determinant up to sign, and whether the row
+    swaps negated it."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0:
+        return one, False
+    negated = False
+    prev = one
+    for c in range(n - 1):
+        if not m[c][c]:
+            r = next((r for r in range(c + 1, n) if m[r][c]), None)
+            if r is None:
+                return m[c][c], False
+            m[c], m[r] = m[r], m[c]
+            negated = not negated
+        pivot, pivot_row = m[c][c], m[c]
+        for row in m[c + 1 :]:
+            lead = row[c]
+            for j in range(c + 1, n):
+                row[j] = div(sub(mul(row[j], pivot), mul(lead, pivot_row[j])), prev)
+        prev = pivot
+    return m[n - 1][n - 1], negated
+
+
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Gaussian elimination."""
+    """Exact integer determinant by Bareiss elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m.data]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                factor = a[i][k] / inv
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    assert det.denominator == 1
-    return int(det)
+    det, negated = bareiss(m.data, operator.mul, operator.sub, operator.floordiv, 1)
+    return -det if negated else det
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ and positive top coefficient.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
+
+from .intmatrix import bareiss
 
 
 class LaurentPolynomial:
@@ -259,6 +260,83 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial
     return g.normalize_unit()
 
 
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of dense ascending integer polynomials; [] is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _strip(out)
+
+
+def _div_exact(num: list[int], den: list[int]) -> Optional[list[int]]:
+    """Quotient q with num = den * q in Z[t], by integer long division from
+    the top, or None as soon as a leading coefficient does not divide.
+    Dense ascending coefficients with nonzero top; den is nonzero."""
+    if not num:
+        return []
+    top = len(num) - len(den)
+    if top < 0:
+        return None
+    lead = den[-1]
+    rem = list(num)
+    q = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c = rem[k + len(den) - 1]
+        if c:
+            if c % lead:
+                return None
+            f = q[k] = c // lead
+            for i, d in enumerate(den, k):
+                rem[i] -= f * d
+    if any(rem[: len(den) - 1]):
+        return None
+    return q
+
+
+def _bareiss_div(num: list[int], den: list[int]) -> list[int]:
+    q = _div_exact(num, den)
+    if q is None:
+        # Sylvester's identity makes every Bareiss division exact
+        raise AssertionError("inexact division in Bareiss elimination")
+    return q
+
+
+def laurent_determinant(
+    rows: Sequence[Sequence[LaurentPolynomial]],
+) -> LaurentPolynomial:
+    """Determinant of a square matrix over Z[t, t^-1].
+
+    Each row is multiplied by the power of t that makes its exponents
+    non-negative, Bareiss elimination runs over Z[t] on dense coefficient
+    lists, and the determinant is shifted back by the total power.
+    """
+    shift = 0
+    dense = []
+    for row in rows:
+        lo = min((entry.min_exponent for entry in row if entry), default=0)
+        shift += lo
+        dense.append(
+            [
+                [0] * (entry.min_exponent - lo) + _to_coeff_list(entry) if entry else []
+                for entry in row
+            ]
+        )
+    det, negated = bareiss(dense, _mul, _sub, _bareiss_div, [1])
+    sign = -1 if negated else 1
+    return LaurentPolynomial((e + shift, sign * c) for e, c in enumerate(det))
+
+
 def divide_exact(
     a: LaurentPolynomial, b: LaurentPolynomial
 ) -> Optional[LaurentPolynomial]:
@@ -267,28 +345,10 @@ def divide_exact(
         raise ValueError("division by the zero polynomial")
     if b.is_zero():
         return LaurentPolynomial.zero()
-    da = _strip(_to_coeff_list(a))
-    rem = [Fraction(c) for c in _strip(_to_coeff_list(b))]
-    if len(rem) < len(da):
+    q = _div_exact(_to_coeff_list(b), _to_coeff_list(a))
+    if q is None:
         return None
-    q = [Fraction(0)] * (len(rem) - len(da) + 1)
-    lead = Fraction(da[-1])
-    while True:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(da):
-            break
-        shift = len(rem) - len(da)
-        factor = rem[-1] / lead
-        q[shift] = factor
-        for i, ac in enumerate(da):
-            rem[shift + i] -= factor * ac
-    if any(c != 0 for c in rem):
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    quotient = LaurentPolynomial((i, int(c)) for i, c in enumerate(q))
-    return quotient.shift(b.min_exponent - a.min_exponent)
+    return LaurentPolynomial(enumerate(q)).shift(b.min_exponent - a.min_exponent)
 
 
 def divides(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:

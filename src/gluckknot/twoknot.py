@@ -71,9 +71,6 @@ class ParityClass(enum.Enum):
         }
         return table[(p % 2, q % 2)]
 
-    def unordered(self) -> frozenset:
-        return frozenset({self.value.split("-")[0], self.value.split("-")[1]})
-
 
 def complement_handle_counts(m: int, n: int) -> HandleCounts:
     """Handle counts of the 2-knot complement built from m lower-band and n

@@ -94,16 +94,6 @@ class Word:
         return tuple(sums)
 
 
-def word_from_pairs(pairs: Iterable[tuple[int, int]]) -> Word:
-    """Build a Word from (generator index, sign) pairs."""
-    letters = []
-    for gen, sign in pairs:
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        letters.append(sign * (gen + 1))
-    return Word(letters)
-
-
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse word text against a generator name list.
 

@@ -26,10 +26,10 @@ class TestAlex:
         assert code == 0
         assert "delta: t^2-t+1" in out
 
-    def test_free_group_reports_e1_zero(self, capsys):
+    def test_free_group_reports_delta_one(self, capsys):
         code, out, _ = run(capsys, "alex", "<x | >")
         assert code == 0
-        assert "E1 = 0" in out
+        assert "delta: 1\n" in out
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "alex", EE, "--json")
@@ -172,3 +172,24 @@ class TestEnum:
 def test_usage_error_exit_one(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enum", "<x | x^3>", "--max", "0"),
+        ("enum", "<x | x^3>", "--max-cosets", "0"),
+        ("enum", "<x | x^3>", "--max-cosets", "-5"),
+        ("enum", "<x | x^3>", "--max", "ten"),
+        ("gluck", EE, "--kill", "x", "--max-cosets", "0"),
+        ("gluck", EE, "--kill", "x", "--max-cosets", "-1"),
+        ("family", "0", "0", "--max-cosets", "0"),
+        ("family", "--grid", "0..1", "0..1", "--max-cosets", "-3"),
+    ],
+)
+def test_nonpositive_coset_bound_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and ">= 1" in err
+    assert "Traceback" not in err

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gluckknot.coset import CosetTable, certify_trivial, enumerate_cosets
-from gluckknot.words import Presentation
+from gluckknot.words import Presentation, Word
 
 
 def cyclic(n):
@@ -14,6 +16,13 @@ def dihedral(n):
 
 
 QUATERNION_8 = Presentation.parse("< x, y | x^4, x^2Y^2, Yxyx >")
+
+
+def word_on(ngens, max_size):
+    letters = st.integers(min_value=1, max_value=ngens).flatmap(
+        lambda g: st.sampled_from([g, -g])
+    )
+    return st.lists(letters, max_size=max_size).map(Word)
 
 
 def trace(table, start, word):
@@ -140,3 +149,168 @@ class TestCertifyTrivial:
     def test_infinite_inconclusive(self):
         cert = certify_trivial(Presentation.parse("< x | >"), 50)
         assert not cert.trivial and cert.order is None
+
+
+class SeedTable:
+    """Oracle: the list-of-lists HLT table that the flat one replaced, with
+    relator columns rebuilt on every scan."""
+
+    def __init__(self, ngens, max_cosets):
+        self.ncols = 2 * ngens
+        self.max_cosets = max_cosets
+        self.table = [[None] * self.ncols]
+        self.parent = [0]
+
+    def rep(self, c):
+        while self.parent[c] != c:
+            c = self.parent[c]
+        return c
+
+    def define(self, c, col):
+        if len(self.table) >= self.max_cosets:
+            raise OverflowError
+        d = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.parent.append(d)
+        self.table[c][col] = d
+        self.table[d][col ^ 1] = c
+
+    def merge(self, a, b, queue):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            self.parent[b] = a
+            queue.append(b)
+
+    def coincidence(self, a, b):
+        queue = []
+        self.merge(a, b, queue)
+        i = 0
+        while i < len(queue):
+            dead = queue[i]
+            i += 1
+            for col in range(self.ncols):
+                d = self.table[dead][col]
+                if d is None:
+                    continue
+                self.table[d][col ^ 1] = None
+                mu, nu = self.rep(dead), self.rep(d)
+                if self.table[mu][col] is not None:
+                    self.merge(nu, self.table[mu][col], queue)
+                elif self.table[nu][col ^ 1] is not None:
+                    self.merge(mu, self.table[nu][col ^ 1], queue)
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][col ^ 1] = mu
+
+    def scan_and_fill(self, start, word):
+        cols = [CosetTable.col(a) for a in word]
+        back_cols = [CosetTable.col(-a) for a in word]
+        while True:
+            start = self.rep(start)
+            f, i = start, 0
+            while i < len(cols) and self.table[f][cols[i]] is not None:
+                f = self.rep(self.table[f][cols[i]])
+                i += 1
+            if i == len(cols):
+                if f != start:
+                    self.coincidence(f, start)
+                return
+            b, j = start, len(cols) - 1
+            while j >= i and self.table[b][back_cols[j]] is not None:
+                b = self.rep(self.table[b][back_cols[j]])
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.table[f][cols[i]] = b
+                self.table[b][back_cols[i]] = f
+                return
+            self.define(f, cols[i])
+
+    def live(self):
+        return [c for c in range(len(self.table)) if self.parent[c] == c]
+
+
+def seed_enumerate(p, subgroup, max_cosets):
+    """(finite, order, table) as the list-of-lists HLT computes them."""
+    ct = SeedTable(p.ngens, max_cosets)
+    try:
+        for w in subgroup:
+            ct.scan_and_fill(0, w.letters)
+        while True:
+            alpha = 0
+            while alpha < len(ct.table):
+                if ct.parent[alpha] == alpha:
+                    for r in p.relators:
+                        ct.scan_and_fill(alpha, r.letters)
+                        if ct.parent[alpha] != alpha:
+                            break
+                    if ct.parent[alpha] == alpha:
+                        for col in range(ct.ncols):
+                            if ct.table[alpha][col] is None:
+                                ct.define(alpha, col)
+                alpha += 1
+            if all(None not in ct.table[c] for c in ct.live()):
+                break
+    except OverflowError:
+        return False, None, None
+    index = {c: k for k, c in enumerate(ct.live())}
+    table = tuple(tuple(index[ct.rep(e)] for e in ct.table[c]) for c in ct.live())
+    return True, len(table), table
+
+
+def coxeter(rank, m):
+    """s_i^2, then (s_i s_j)^m_ij with m_ij = 2 for unjoined nodes."""
+    rels = [Word([i + 1, i + 1]) for i in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            rels.append(Word([i + 1, j + 1] * m.get((i, j), 2)))
+    return Presentation([f"s{i}" for i in range(rank)], rels)
+
+
+def assert_matches_seed(p, subgroup, max_cosets):
+    outcome = enumerate_cosets(p, subgroup, max_cosets)
+    assert (outcome.finite, outcome.order, outcome.table) == seed_enumerate(
+        p, subgroup, max_cosets
+    )
+    return outcome
+
+
+class TestAgainstSeedTable:
+    @pytest.mark.parametrize(
+        "name,rank,m,order",
+        [
+            ("A4", 4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 120),
+            ("A5", 5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}, 720),
+            ("F4", 4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 1152),
+        ],
+    )
+    def test_coxeter(self, name, rank, m, order):
+        outcome = assert_matches_seed(coxeter(rank, m), (), 60000)
+        assert outcome.order == order
+
+    def test_overflowing_z2(self):
+        p = Presentation.parse("< x, y | xyXY >")
+        assert not assert_matches_seed(p, (), 2000).finite
+
+    @pytest.mark.parametrize("max_cosets", [1, 2, 5, 11, 12, 13])
+    def test_bound_is_total_cosets_defined(self, max_cosets):
+        assert_matches_seed(dihedral(6), (), max_cosets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(word_on(n, 8), min_size=1, max_size=3),
+                st.lists(word_on(n, 3), max_size=1),
+                st.sampled_from([50, 200, 400]),
+            )
+        )
+    )
+    def test_random_presentations(self, case):
+        n, relators, subgroup, max_cosets = case
+        p = Presentation(list("xyz"[:n]), relators)
+        assert_matches_seed(p, subgroup, max_cosets)

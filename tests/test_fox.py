@@ -1,21 +1,22 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gluckknot.fox import (
-    FirstIdealZero,
     GroupRingElement,
     OrientationError,
     abelianize,
     alexander_matrix,
     alexander_polynomial,
+    first_ideal_minors,
     fox_derivative,
     fundamental_identity_check,
     solve_orientation_weights,
 )
-from gluckknot.laurent import LaurentPolynomial, unit_equivalent
+from gluckknot.laurent import LaurentPolynomial, laurent_determinant, unit_equivalent
 from gluckknot.words import Presentation, Word, parse_word
 
 L = LaurentPolynomial.parse
@@ -183,9 +184,11 @@ class TestAlexanderPolynomial:
             d = alexander_polynomial(pres(relator)).polynomial
             assert d.evaluate(1) in (1, -1)
 
-    def test_free_group_e1_zero(self):
-        with pytest.raises(FirstIdealZero):
-            alexander_polynomial(Presentation.parse("< x | >"))
+    def test_free_group_delta_one(self):
+        # the unknot group: the single 0 x 0 minor is 1
+        result = alexander_polynomial(Presentation.parse("< x | >"))
+        assert result.polynomial == LaurentPolynomial.constant(1)
+        assert result.certified_principal
 
     def test_weight_flip_gives_reciprocal(self):
         for relator in GOLDEN:
@@ -211,3 +214,76 @@ def test_fundamental_identity_bulk_seeded():
             for _ in range(rng.randint(0, 32))
         ]
         assert fundamental_identity_check(Word(raw), n)
+
+
+def laplace_determinant(rows):
+    """Oracle: first-row cofactor expansion over Z[t, t^-1]."""
+    if not rows:
+        return LaurentPolynomial.constant(1)
+    total = LaurentPolynomial.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = entry * laplace_determinant(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+small_poly_st = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-4, max_value=4),
+    max_size=3,
+).map(LaurentPolynomial)
+laurent_square_st = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(small_poly_st, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(laurent_square_st)
+def test_bareiss_matches_laplace(rows):
+    assert laurent_determinant(rows) == laplace_determinant(rows)
+
+
+def test_bareiss_rank_deficient_and_swaps():
+    t = L("t")
+    one, zero = L("1"), L("0")
+    assert laurent_determinant([[zero, t], [one, zero]]) == -t
+    assert laurent_determinant([[t, t], [t, t]]).is_zero()
+    assert laurent_determinant([[L("t^-2"), zero], [zero, L("t^3-1")]]) == L("t-t^-2")
+
+
+def wirtinger_torus(n):
+    """T(2,n): arc i+2 is arc i conjugated by arc i+1."""
+    gens = [f"x{i}" for i in range(n)]
+    rels = [
+        Word([(i + 1) % n + 1, i + 1, -((i + 1) % n + 1), -((i + 2) % n + 1)])
+        for i in range(n)
+    ]
+    return Presentation(gens, rels)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [pres(r) for r in GOLDEN]
+    + [pres("xyxYXY"), Presentation.parse("< x | >")]
+    + [wirtinger_torus(n) for n in (3, 5, 7)],
+)
+def test_minors_match_laplace(p):
+    matrix = alexander_matrix(p)
+    k = matrix.cols - 1
+    expected = [
+        laplace_determinant([[matrix.entries[i][j] for j in cols] for i in rows])
+        for rows in combinations(range(matrix.rows), k)
+        for cols in combinations(range(matrix.cols), k)
+    ]
+    assert first_ideal_minors(p) == expected
+
+
+def test_torus_knot_delta():
+    # T(2,n) has delta = 1 - t + ... + t^(n-1), up to units
+    for n in (3, 5, 7):
+        expected = LaurentPolynomial({k: (-1) ** k for k in range(n)})
+        result = alexander_polynomial(wirtinger_torus(n))
+        assert unit_equivalent(result.polynomial, expected)
+        assert result.certified_principal

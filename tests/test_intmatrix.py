@@ -1,6 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gluckknot.intmatrix import (
     AbelianGroup,
@@ -129,3 +132,38 @@ def test_determinant_basics():
     assert determinant(IntMatrix([[1, 2], [2, 4]])) == 0
     with pytest.raises(ValueError):
         determinant(IntMatrix([[1, 2]]))
+
+
+def leibniz_determinant(rows):
+    """Oracle: the permutation expansion, with the sign from inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+square_st = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(square_st)
+def test_bareiss_determinant_matches_leibniz(rows):
+    assert determinant(IntMatrix(rows, cols=len(rows))) == leibniz_determinant(rows)
+
+
+def test_determinant_needs_row_swaps():
+    # zero pivots force swaps; a zero column below the pivot ends early
+    assert determinant(IntMatrix([[0, 1], [1, 0]])) == -1
+    assert determinant(IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert determinant(IntMatrix([[0, 1, 2], [0, 3, 4], [5, 6, 7]])) == -10
+    assert determinant(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])) == 0

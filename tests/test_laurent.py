@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -161,3 +163,45 @@ class TestGcdDivides:
     @given(nonzero_poly_st, poly_st)
     def test_divide_exact_inverts_multiplication(self, a, q):
         assert divide_exact(a, a * q) == q
+
+
+def rational_divide_exact(a, b):
+    """Oracle: long division over Q, kept integral only at the end."""
+    def dense(p):
+        return [p.coeffs.get(e, 0) for e in range(p.min_exponent, p.max_exponent + 1)]
+
+    da = dense(a)
+    rem = [Fraction(c) for c in dense(b)]
+    if len(rem) < len(da):
+        return None
+    q = [Fraction(0)] * (len(rem) - len(da) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        factor = rem[shift + len(da) - 1] / da[-1]
+        q[shift] = factor
+        for i, c in enumerate(da):
+            rem[shift + i] -= factor * c
+    if any(rem) or any(c.denominator != 1 for c in q):
+        return None
+    quotient = LaurentPolynomial((i, int(c)) for i, c in enumerate(q))
+    return quotient.shift(b.min_exponent - a.min_exponent)
+
+
+class TestIntegerDivision:
+    @given(nonzero_poly_st, nonzero_poly_st)
+    def test_matches_rational_oracle(self, a, b):
+        assert divide_exact(a, b) == rational_divide_exact(a, b)
+
+    @given(nonzero_poly_st, nonzero_poly_st, nonzero_poly_st)
+    def test_matches_rational_oracle_on_near_multiples(self, a, q, r):
+        b = a * q + r
+        if not b.is_zero():
+            assert divide_exact(a, b) == rational_divide_exact(a, b)
+
+    def test_non_dividing_leading_coefficient(self):
+        assert divide_exact(L("2t+1"), L("t^2+1")) is None
+        assert divide_exact(L("3t-3"), L("3t^2-6t+3")) == L("t-1")
+
+    def test_low_remainder(self):
+        # every leading step divides, but t^2+t+1 = (t+1) t + 1
+        assert divide_exact(L("t+1"), L("t^2+t+1")) is None
+
