@@ -14,19 +14,13 @@ from typing import Sequence
 
 from . import __version__
 from .coset import certify_trivial, enumerate_cosets
-from .fox import (
-    FirstIdealZero,
-    FoxInternalError,
-    OrientationError,
-    alexander_polynomial,
-)
-from .intmatrix import IntMatrix, cokernel
+from .fox import FoxInternalError, OrientationError, alexander_polynomial
 from .twoknot import (
     GluckVariant,
     HandleCounts,
     InvalidRibbonError,
     complement_handle_counts,
-    family_record,
+    family_records,
     gluck_handle_counts,
 )
 from .words import Presentation, PresentationError, WordSyntaxError
@@ -83,34 +77,20 @@ def _parse_presentation(text: str) -> Presentation:
         raise UsageError(f"bad presentation: {exc}") from exc
 
 
-def _h1(p: Presentation) -> str:
-    return str(cokernel(IntMatrix(p.exponent_matrix(), cols=p.ngens)))
-
-
 def cmd_alex(args) -> int:
     p = _parse_presentation(args.presentation)
-    payload: dict = {"input": str(p), "h1": _h1(p)}
     try:
         result = alexander_polynomial(p)
     except OrientationError as exc:
         raise PreconditionError(str(exc)) from exc
-    except FirstIdealZero:
-        payload.update({"e1_zero": True, "delta": None, "delta_principal": None})
-        if args.json:
-            _emit_json(_report("alex", payload))
-        else:
-            print(f"input: {p}")
-            print("E1 = 0 (no Alexander polynomial)")
-            print(f"H1: {payload['h1']}")
-        return EXIT_OK
-    payload.update(
-        {
-            "weights": list(result.weights),
-            "delta": str(result.polynomial),
-            "delta_principal": result.certified_principal,
-            "e1_zero": False,
-        }
-    )
+    payload = {
+        "input": str(p),
+        "h1": str(result.h1),
+        "weights": list(result.weights),
+        "delta": str(result.polynomial),
+        "delta_principal": result.certified_principal,
+        "e1_zero": False,
+    }
     if args.json:
         _emit_json(_report("alex", payload))
     else:
@@ -173,7 +153,7 @@ def cmd_family(args) -> int:
         if args.p is None or args.q is None:
             raise UsageError("family needs p and q (or --grid)")
         pairs = [(args.p, args.q)]
-    records = [family_record(p, q, args.max_cosets) for p, q in pairs]
+    records = family_records(pairs, args.max_cosets)
     if args.json:
         for record in records:
             _emit_json(_report("family", record))
@@ -183,17 +163,7 @@ def cmd_family(args) -> int:
             print("\t".join(_family_row(record)))
     else:
         record = records[0]
-        for key in (
-            "p",
-            "q",
-            "parity",
-            "relator",
-            "delta",
-            "delta_principal",
-            "h1",
-            "gluck_pi1",
-            "spun_obstruction",
-        ):
+        for key in _FAMILY_COLUMNS[:9]:  # the scalars; handle counts follow
             print(f"{key}: {record[key]}")
         for key, counts in record["handle_counts"].items():
             print(f"handle_counts.{key}: ({','.join(str(h) for h in counts)})")
@@ -261,8 +231,7 @@ def cmd_enum(args) -> int:
                 subgroup.append(p.word(text))
             except (WordSyntaxError, PresentationError) as exc:
                 raise UsageError(f"bad subgroup word {text!r}: {exc}") from exc
-    max_cosets = args.max_alias if args.max_alias is not None else args.max_cosets
-    outcome = enumerate_cosets(p, subgroup, max_cosets)
+    outcome = enumerate_cosets(p, subgroup, args.max_cosets)
     payload = {
         "input": str(p),
         "subgroup": [p.word_str(w) for w in subgroup],
@@ -290,6 +259,7 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument(
         "--max-cosets",
+        "--max",
         type=_coset_bound,
         default=10000,
         help="coset enumeration bound (default 10000)",
@@ -321,10 +291,6 @@ def build_parser() -> _Parser:
     p_enum = sub.add_parser("enum", parents=[common], help="coset enumeration")
     p_enum.add_argument("presentation")
     p_enum.add_argument("--subgroup", help="comma-separated subgroup words")
-    p_enum.add_argument(
-        "--max", type=_coset_bound, dest="max_alias", default=None,
-        help="alias for --max-cosets",
-    )
     p_enum.set_defaults(func=cmd_enum)
     return parser
 

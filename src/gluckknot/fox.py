@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .intmatrix import IntMatrix, cokernel, kernel_basis, primitive_vector
+from .intmatrix import AbelianGroup, IntMatrix, primitive_vector, smith_normal_form
 from .laurent import (
     LaurentPolynomial,
     divides,
@@ -25,10 +25,6 @@ from .words import Presentation, Word
 
 class OrientationError(ValueError):
     """The abelianization is not infinite cyclic up to torsion."""
-
-
-class FirstIdealZero(ValueError):
-    """All Alexander-matrix minors vanish; no Alexander polynomial exists."""
 
 
 class FoxInternalError(AssertionError):
@@ -126,24 +122,26 @@ def fundamental_identity_check(w: Word, ngens: int) -> bool:
     return total == expected
 
 
+def _abelianization(p: Presentation) -> tuple[AbelianGroup, tuple[int, ...]]:
+    """H1 and the orientation weights, both from one Smith normal form of
+    the relator exponent matrix; requires free rank exactly 1."""
+    snf = smith_normal_form(IntMatrix(p.exponent_matrix(), cols=p.ngens))
+    h1 = snf.cokernel()
+    if h1.rank != 1:
+        raise OrientationError(
+            f"abelianization has free rank {h1.rank}, expected 1 (H1 = {h1})"
+        )
+    (kernel,) = snf.kernel_basis()
+    return h1, tuple(primitive_vector(kernel))
+
+
 def solve_orientation_weights(p: Presentation) -> tuple[int, ...]:
     """Integer exponent weights g -> t^{w_g} for the infinite-cyclic quotient.
 
     Recovered as the primitive kernel vector of the relator exponent matrix;
     requires the abelianization to have free rank exactly 1.
     """
-    matrix = IntMatrix(p.exponent_matrix(), cols=p.ngens)
-    ab = cokernel(matrix)
-    if ab.rank != 1:
-        raise OrientationError(
-            f"abelianization has free rank {ab.rank}, expected 1 (H1 = {ab})"
-        )
-    basis = kernel_basis(matrix)
-    if len(basis) != 1:
-        raise FoxInternalError(
-            f"free rank 1 but a kernel basis of {len(basis)} vectors"
-        )
-    return tuple(primitive_vector(basis[0]))
+    return _abelianization(p)[1]
 
 
 def abelianize(
@@ -194,7 +192,7 @@ def alexander_matrix(
         )
         identity_sum = LaurentPolynomial.zero()
         for g, entry in enumerate(row):
-            factor = LaurentPolynomial({weights[g]: 1, 0: -1})
+            factor = LaurentPolynomial([(weights[g], 1), (0, -1)])
             identity_sum = identity_sum + entry * factor
         if not identity_sum.is_zero():
             raise FoxInternalError(
@@ -209,13 +207,17 @@ class AlexanderResult:
     polynomial: LaurentPolynomial
     certified_principal: bool
     weights: tuple[int, ...]
+    h1: AbelianGroup
 
 
 def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
     """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count,
     rows before columns in lexicographic order.  With no relators the one
     0 x 0 minor is 1."""
-    matrix = alexander_matrix(p)
+    return _minors(alexander_matrix(p))
+
+
+def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
     k = matrix.cols - 1
     return [
         laurent_determinant([[matrix.entries[i][j] for j in col_idx] for i in row_idx])
@@ -230,12 +232,15 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
     The result is certified principal only when every nonzero minor is a unit
     multiple of the gcd (so the ideal visibly equals the gcd's principal
     ideal); otherwise the gcd is reported without a principality claim.
+
+    At t = 1 the minors are the (n-1) x (n-1) minors of the exponent matrix,
+    which has rank n-1 when H1 has free rank 1, so some minor is nonzero.
     """
-    weights = solve_orientation_weights(p)
-    minors = first_ideal_minors(p)
+    h1, weights = _abelianization(p)
+    minors = _minors(alexander_matrix(p, weights))
     nonzero = [m for m in minors if not m.is_zero()]
     if not nonzero:
-        raise FirstIdealZero("all Alexander minors vanish (E1 = 0)")
+        raise FoxInternalError("all Alexander minors vanish, yet H1 has free rank 1")
     g = nonzero[0]
     for m in nonzero[1:]:
         g = laurent_gcd(g, m)
@@ -246,4 +251,5 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
         polynomial=g.normalize_unit(),
         certified_principal=certified,
         weights=weights,
+        h1=h1,
     )

@@ -38,9 +38,6 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.data[ij[0]][ij[1]]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -132,6 +129,24 @@ class SmithForm:
         for i, v in enumerate(self.diagonal):
             d.data[i][i] = v
         return d
+
+    def cokernel(self) -> "AbelianGroup":
+        """Cokernel of the diagonalized matrix: one Z per zero or missing
+        diagonal entry, one Z/d per entry d > 1."""
+        nonzero = [d for d in self.diagonal if d]
+        return AbelianGroup(
+            rank=self.right.rows - len(nonzero),
+            torsion=tuple(d for d in nonzero if d > 1),
+        )
+
+    def kernel_basis(self) -> list[list[int]]:
+        """The columns of the right transform that the matrix sends to 0;
+        there are as many as the cokernel's free rank."""
+        return [
+            self.right.column(j)
+            for j in range(self.right.cols)
+            if j >= len(self.diagonal) or self.diagonal[j] == 0
+        ]
 
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
@@ -249,23 +264,13 @@ class AbelianGroup:
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """Cokernel of a relator-by-generator exponent matrix."""
-    snf = smith_normal_form(a)
-    nonzero = [d for d in snf.diagonal if d]
-    return AbelianGroup(
-        rank=a.cols - len(nonzero),
-        torsion=tuple(d for d in nonzero if d > 1),
-    )
+    return smith_normal_form(a).cokernel()
 
 
 def kernel_basis(a: IntMatrix) -> list[list[int]]:
     """Integer kernel basis vectors (columns of the right transform with
     zero image)."""
-    snf = smith_normal_form(a)
-    basis = []
-    for j in range(a.cols):
-        if j >= len(snf.diagonal) or snf.diagonal[j] == 0:
-            basis.append(snf.right.column(j))
-    return basis
+    return smith_normal_form(a).kernel_basis()
 
 
 def primitive_vector(v: Sequence[int]) -> list[int]:

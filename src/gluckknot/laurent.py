@@ -42,10 +42,6 @@ class LaurentPolynomial:
     def constant(cls, c: int) -> "LaurentPolynomial":
         return cls({0: c})
 
-    @classmethod
-    def t(cls, exponent: int = 1, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

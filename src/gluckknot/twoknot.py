@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .coset import TrivialityCertificate, certify_trivial
+from .coset import certify_trivial
 from .fox import AlexanderResult, alexander_polynomial
 from .intmatrix import AbelianGroup, IntMatrix, cokernel
 from .laurent import LaurentPolynomial, unit_equivalent
@@ -231,11 +231,9 @@ class FamilyClassification:
 
 
 def classify(p: int, q: int) -> FamilyClassification:
-    pres = family_presentation(p, q)
-    result = alexander_polynomial(pres)
-    h1 = cokernel(IntMatrix(pres.exponent_matrix(), cols=pres.ngens))
+    result = alexander_polynomial(family_presentation(p, q))
     return FamilyClassification(
-        p=p, q=q, parity=ParityClass.of(p, q), alexander=result, h1=h1
+        p=p, q=q, parity=ParityClass.of(p, q), alexander=result, h1=result.h1
     )
 
 
@@ -267,19 +265,19 @@ def family_record(p: int, q: int, max_cosets: int = 10000) -> dict:
     """Serialized invariant record for one family member (the CLI schema)."""
     knot = family_knot(p, q)
     pres = complement_presentation(knot)
-    cls = classify(p, q)
-    cert: TrivialityCertificate = certify_trivial(
-        gluck_quotient(knot, "x"), max_cosets
-    )
+    alexander = alexander_polynomial(pres)
+    # the Gluck quotient of `gluck_quotient(knot, "x")`, without validating
+    # the complement presentation a second time
+    cert = certify_trivial(pres.kill_generator("x"), max_cosets)
     complement = knot.handle_counts()
     return {
         "p": p,
         "q": q,
-        "parity": cls.parity.value,
+        "parity": ParityClass.of(p, q).value,
         "relator": pres.word_str(pres.relators[0]),
-        "delta": str(cls.alexander.polynomial),
-        "delta_principal": cls.alexander.certified_principal,
-        "h1": str(cls.h1),
+        "delta": str(alexander.polynomial),
+        "delta_principal": alexander.certified_principal,
+        "h1": str(alexander.h1),
         "gluck_pi1": cert.status,
         "handle_counts": {
             "complement": list(complement.as_tuple()),
@@ -290,5 +288,22 @@ def family_record(p: int, q: int, max_cosets: int = 10000) -> dict:
                 gluck_handle_counts(complement, GluckVariant.DOUBLE).as_tuple()
             ),
         },
-        "spun_obstruction": spun_obstruction(cls.alexander.polynomial).value,
+        "spun_obstruction": spun_obstruction(alexander.polynomial).value,
     }
+
+
+def family_records(
+    pairs: Iterable[tuple[int, int]], max_cosets: int = 10000
+) -> list[dict]:
+    """`family_record` for each pair.  The invariants depend on (p,q) only
+    through their parities, so each parity class is computed once and its
+    record is copied with p and q replaced (the copies share the nested
+    handle counts)."""
+    by_parity: dict[ParityClass, dict] = {}
+    records = []
+    for p, q in pairs:
+        parity = ParityClass.of(p, q)
+        if parity not in by_parity:
+            by_parity[parity] = family_record(p, q, max_cosets)
+        records.append({**by_parity[parity], "p": p, "q": q})
+    return records

@@ -9,6 +9,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 MAX_GENERATORS = 64
+# Letters of one parsed word after exponents are expanded; keeps a short
+# exponent like x^99999999999 from allocating its run.
+MAX_WORD_LETTERS = 10_000
 
 
 class WordSyntaxError(ValueError):
@@ -99,6 +102,7 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
 
     Lowercase letters name generators, uppercase their inverses, and a
     letter may carry a signed integer exponent after a caret (``x^-3``).
+    A word may expand to at most MAX_WORD_LETTERS letters.
     """
     index = {name: i for i, name in enumerate(generators)}
     letters: list[int] = []
@@ -117,6 +121,7 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
         letter = index[name] + 1
         if ch.isupper():
             letter = -letter
+        letter_pos = pos
         pos += 1
         exponent = 1
         if pos < n and text[pos] == "^":
@@ -124,11 +129,18 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
             start = pos
             if pos < n and text[pos] == "-":
                 pos += 1
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == start or (pos == start + 1 and text[start] == "-"):
                 raise WordSyntaxError("missing exponent after '^'", start)
-            exponent = int(text[start:pos])
+            try:
+                exponent = int(text[start:pos])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                exponent = MAX_WORD_LETTERS + 1
+        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"word longer than {MAX_WORD_LETTERS} letters", letter_pos
+            )
         if exponent >= 0:
             letters.extend([letter] * exponent)
         else:

@@ -2,7 +2,20 @@ import json
 
 import pytest
 
+from gluckknot import __version__
 from gluckknot.cli import main
+from gluckknot.coset import certify_trivial
+from gluckknot.fox import alexander_polynomial
+from gluckknot.intmatrix import IntMatrix, cokernel
+from gluckknot.twoknot import (
+    GluckVariant,
+    ParityClass,
+    family_knot,
+    family_presentation,
+    gluck_handle_counts,
+    gluck_quotient,
+    spun_obstruction,
+)
 
 EE = "<x,y | xyxYXyxyXY>"
 
@@ -51,6 +64,24 @@ class TestAlex:
         assert code == 2
         assert "rank" in err
 
+    @pytest.mark.parametrize(
+        "text,delta,h1",
+        [("<x,y | y>", "1", "Z"), ("<x,y | y^2>", "2", "Z + Z/2")],
+    )
+    def test_zero_weight_generator(self, capsys, text, delta, h1):
+        # t^0 - 1 = 0 is the row-identity factor of a weight-0 generator
+        code, out, _ = run(capsys, "alex", text)
+        assert code == 0
+        assert "weights: x:1 y:0\n" in out
+        assert f"delta: {delta}\n" in out
+        assert f"H1: {h1}\n" in out
+
+    def test_huge_exponent_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "alex", "<x | x^99999999999>")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "longer than" in err
+
 
 class TestFamily:
     def test_single_record(self, capsys):
@@ -92,6 +123,44 @@ class TestFamily:
         _, out1, _ = run(capsys, "family", "1", "1", "--json")
         _, out2, _ = run(capsys, "family", "1", "1", "--json")
         assert out1 == out2
+
+    def test_grid_records_match_per_pair_oracle(self, capsys):
+        # the grid computes one record per parity class; every pair,
+        # negative p and q included, must get its own invariants
+        code, out, _ = run(capsys, "family", "--grid", "-2..3", "-2..3", "--json")
+        assert code == 0
+        pairs = [(p, q) for p in range(-2, 4) for q in range(-2, 4)]
+        assert {ParityClass.of(p, q) for p, q in pairs} == set(ParityClass)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == len(pairs)
+        for record, (p, q) in zip(records, pairs):
+            pres = family_presentation(p, q)
+            alexander = alexander_polynomial(pres)
+            cert = certify_trivial(gluck_quotient(family_knot(p, q), "x"), 10000)
+            complement = family_knot(p, q).handle_counts()
+            assert record == {
+                "tool_version": __version__,
+                "seed": 0,
+                "command": "family",
+                "p": p,
+                "q": q,
+                "parity": ParityClass.of(p, q).value,
+                "relator": pres.word_str(pres.relators[0]),
+                "delta": str(alexander.polynomial),
+                "delta_principal": alexander.certified_principal,
+                "h1": str(cokernel(IntMatrix(pres.exponent_matrix(), cols=2))),
+                "gluck_pi1": cert.status,
+                "handle_counts": {
+                    "complement": list(complement.as_tuple()),
+                    "gluck_single": list(
+                        gluck_handle_counts(complement, GluckVariant.SINGLE).as_tuple()
+                    ),
+                    "gluck_double": list(
+                        gluck_handle_counts(complement, GluckVariant.DOUBLE).as_tuple()
+                    ),
+                },
+                "spun_obstruction": spun_obstruction(alexander.polynomial).value,
+            }
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "family", "--grid", "2..0", "0..1")
@@ -167,6 +236,31 @@ class TestEnum:
         code, out, _ = run(capsys, "enum", "<x | x^3>", "--json")
         payload = json.loads(out)
         assert payload["finite"] is True and payload["order"] == 3
+
+    @pytest.mark.parametrize(
+        "flags,bound",
+        [
+            (("--max", "50", "--max-cosets", "70"), 70),
+            (("--max-cosets", "70", "--max", "50"), 50),
+        ],
+    )
+    def test_last_bound_flag_wins(self, capsys, flags, bound):
+        code, out, _ = run(capsys, "enum", "<x,y | xyXY>", *flags)
+        assert code == 0
+        assert out.endswith(f"exceeded: {bound}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "0", "0", "--max", "5"),
+        ("gluck", EE, "--kill", "x", "--max", "5"),
+        ("alex", EE, "--max", "5"),
+    ],
+)
+def test_max_spelling_on_every_subcommand(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
 
 
 def test_usage_error_exit_one(capsys):

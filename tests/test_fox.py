@@ -1,10 +1,14 @@
+import contextlib
+import io
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gluckknot import cli
 from gluckknot.fox import (
     GroupRingElement,
     OrientationError,
@@ -16,6 +20,7 @@ from gluckknot.fox import (
     fundamental_identity_check,
     solve_orientation_weights,
 )
+from gluckknot.intmatrix import IntMatrix, cokernel
 from gluckknot.laurent import LaurentPolynomial, laurent_determinant, unit_equivalent
 from gluckknot.words import Presentation, Word, parse_word
 
@@ -287,3 +292,36 @@ def test_torus_knot_delta():
         result = alexander_polynomial(wirtinger_torus(n))
         assert unit_equivalent(result.polynomial, expected)
         assert result.certified_principal
+
+
+@st.composite
+def presentation_text_st(draw):
+    """Up to 4 generators and 5 relators of up to 8 letters each."""
+    gens = "abcd"[: draw(st.integers(min_value=1, max_value=4))]
+    word = st.text(alphabet=gens + gens.upper(), min_size=1, max_size=8)
+    relators = draw(st.lists(word, max_size=5))
+    return f"<{', '.join(gens)} | {', '.join(relators)}>"
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentation_text_st())
+def test_alexander_total_on_small_presentations(text):
+    """Either the free rank is not 1, or Delta(1) is nonzero and divides the
+    order of H1's torsion: at t = 1 the minors are those of the exponent
+    matrix, whose gcd is that order.  Certified principality makes the two
+    equal.  The CLI reports either case without an internal error."""
+    p = Presentation.parse(text)
+    try:
+        result = alexander_polynomial(p)
+    except OrientationError:
+        result = None
+    if result is not None:
+        torsion = prod(cokernel(IntMatrix(p.exponent_matrix(), cols=p.ngens)).torsion)
+        at_one = abs(result.polynomial.evaluate(1))
+        assert at_one != 0 and torsion % at_one == 0
+        if result.certified_principal:
+            assert at_one == torsion
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", text, "--json"])
+    assert code == (2 if result is None else 0), err.getvalue()

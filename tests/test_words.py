@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gluckknot.words import (
+    MAX_WORD_LETTERS,
     Presentation,
     PresentationError,
     Word,
@@ -54,6 +56,25 @@ class TestParse:
         with pytest.raises(WordSyntaxError) as err:
             w("xy*")
         assert err.value.position == 2
+
+    def test_word_length_cap(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordSyntaxError, match="longer than"):
+                w("x^99999999999")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the run is refused before it is allocated
+        with pytest.raises(WordSyntaxError, match="longer than"):
+            w("y^-" + "9" * 5000)  # more digits than int() converts
+        assert len(w(f"y^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+        with pytest.raises(WordSyntaxError, match="longer than"):
+            w(f"xy^{MAX_WORD_LETTERS}")
+
+    def test_exponent_digits_are_ascii(self):
+        with pytest.raises(WordSyntaxError, match="missing exponent"):
+            w("x^\u00b2")
 
     def test_missing_exponent(self):
         with pytest.raises(WordSyntaxError):
