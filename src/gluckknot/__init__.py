@@ -1,113 +1,91 @@
-"""gluckknot: ribbon 2-knots, Gluck twists, and Alexander invariants."""
+"""gluckknot: ribbon 2-knots, Gluck twists, and Alexander invariants.
 
-from .coset import (
-    EnumerationOutcome,
-    TrivialityCertificate,
-    certify_trivial,
-    enumerate_cosets,
-)
-from .fox import (
-    AlexanderMatrix,
-    AlexanderResult,
-    GroupRingElement,
-    OrientationError,
-    abelianize,
-    alexander_matrix,
-    alexander_polynomial,
-    fox_derivative,
-    fundamental_identity_check,
-    solve_orientation_weights,
-)
-from .intmatrix import (
-    AbelianGroup,
-    IntMatrix,
-    SmithForm,
-    cokernel,
-    smith_normal_form,
-)
-from .laurent import LaurentPolynomial, divide_exact, divides, laurent_gcd, unit_equivalent
-from .twoknot import (
-    FamilyClassification,
-    GluckVariant,
-    HandleCounts,
-    InvalidRibbonError,
-    ParityClass,
-    RibbonTwoKnot,
-    SpunObstruction,
-    classify,
-    complement_handle_counts,
-    complement_presentation,
-    delta_classes,
-    delta_equivalent,
-    distinct,
-    family_knot,
-    family_presentation,
-    family_record,
-    family_relator,
-    gluck_handle_counts,
-    gluck_quotient,
-    spun_obstruction,
-)
-from .words import (
-    Presentation,
-    PresentationError,
-    Word,
-    WordSyntaxError,
-    parse_word,
-    word_to_str,
-)
+The public names load lazily (PEP 562): `import gluckknot` runs no
+submodule, and the first access to a name imports the module defining it,
+so a CLI subcommand pays at start-up only for the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "AlexanderMatrix",
-    "AlexanderResult",
-    "EnumerationOutcome",
-    "FamilyClassification",
-    "GluckVariant",
-    "GroupRingElement",
-    "HandleCounts",
-    "IntMatrix",
-    "InvalidRibbonError",
-    "LaurentPolynomial",
-    "OrientationError",
-    "ParityClass",
-    "Presentation",
-    "PresentationError",
-    "RibbonTwoKnot",
-    "SmithForm",
-    "SpunObstruction",
-    "TrivialityCertificate",
-    "Word",
-    "WordSyntaxError",
-    "abelianize",
-    "alexander_matrix",
-    "alexander_polynomial",
-    "certify_trivial",
-    "classify",
-    "cokernel",
-    "complement_handle_counts",
-    "complement_presentation",
-    "delta_classes",
-    "delta_equivalent",
-    "distinct",
-    "divide_exact",
-    "divides",
-    "enumerate_cosets",
-    "family_knot",
-    "family_presentation",
-    "family_record",
-    "family_relator",
-    "fox_derivative",
-    "fundamental_identity_check",
-    "gluck_handle_counts",
-    "gluck_quotient",
-    "laurent_gcd",
-    "parse_word",
-    "smith_normal_form",
-    "solve_orientation_weights",
-    "spun_obstruction",
-    "unit_equivalent",
-    "word_to_str",
-]
+_EXPORTS = {
+    "coset": (
+        "EnumerationOutcome",
+        "TrivialityCertificate",
+        "certify_trivial",
+        "enumerate_cosets",
+    ),
+    "fox": (
+        "AlexanderMatrix",
+        "AlexanderResult",
+        "GroupRingElement",
+        "OrientationError",
+        "abelianize",
+        "alexander_matrix",
+        "alexander_polynomial",
+        "fox_derivative",
+        "fundamental_identity_check",
+        "solve_orientation_weights",
+    ),
+    "intmatrix": (
+        "AbelianGroup",
+        "IntMatrix",
+        "SmithForm",
+        "cokernel",
+        "smith_normal_form",
+    ),
+    "laurent": (
+        "LaurentPolynomial",
+        "divide_exact",
+        "divides",
+        "laurent_gcd",
+        "unit_equivalent",
+    ),
+    "twoknot": (
+        "FamilyClassification",
+        "GluckVariant",
+        "HandleCounts",
+        "InvalidRibbonError",
+        "ParityClass",
+        "RibbonTwoKnot",
+        "SpunObstruction",
+        "classify",
+        "complement_handle_counts",
+        "complement_presentation",
+        "delta_classes",
+        "delta_equivalent",
+        "distinct",
+        "family_knot",
+        "family_presentation",
+        "family_record",
+        "family_relator",
+        "gluck_handle_counts",
+        "gluck_quotient",
+        "spun_obstruction",
+    ),
+    "words": (
+        "Presentation",
+        "PresentationError",
+        "Word",
+        "WordSyntaxError",
+        "parse_word",
+        "word_to_str",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

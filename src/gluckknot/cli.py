@@ -7,23 +7,16 @@ Exit codes: 0 success, 1 usage or parse error, 2 precondition failure,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Sequence
 
 from . import __version__
-from .coset import certify_trivial, enumerate_cosets
-from .fox import FoxInternalError, OrientationError, alexander_polynomial
-from .twoknot import (
-    GluckVariant,
-    HandleCounts,
-    InvalidRibbonError,
-    complement_handle_counts,
-    family_records,
-    gluck_handle_counts,
-)
-from .words import Presentation, PresentationError, WordSyntaxError
+
+# Each subcommand imports the library modules it runs, so `--version` loads
+# none and `enum` only words and coset.  Each converts the library errors
+# that user input can cause into UsageError (exit 1) or PreconditionError
+# (exit 2) where it calls the library.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,11 +59,16 @@ def _report(command: str, payload: dict) -> dict:
     return {"tool_version": __version__, "seed": 0, "command": command, **payload}
 
 
-def _emit_json(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True))
+def _emit_json(*reports: dict) -> None:
+    """One line per report, written with one print: a grid has thousands."""
+    import json
+
+    print("\n".join(json.dumps(report, sort_keys=True) for report in reports))
 
 
-def _parse_presentation(text: str) -> Presentation:
+def _parse_presentation(text: str):
+    from .words import Presentation, PresentationError, WordSyntaxError
+
     try:
         return Presentation.parse(text)
     except (WordSyntaxError, PresentationError) as exc:
@@ -78,10 +76,12 @@ def _parse_presentation(text: str) -> Presentation:
 
 
 def cmd_alex(args) -> int:
+    from .fox import MinorBoundError, OrientationError, alexander_polynomial
+
     p = _parse_presentation(args.presentation)
     try:
         result = alexander_polynomial(p)
-    except OrientationError as exc:
+    except (OrientationError, MinorBoundError) as exc:
         raise PreconditionError(str(exc)) from exc
     payload = {
         "input": str(p),
@@ -153,10 +153,12 @@ def cmd_family(args) -> int:
         if args.p is None or args.q is None:
             raise UsageError("family needs p and q (or --grid)")
         pairs = [(args.p, args.q)]
+    from .twoknot import family_records
+
+    # every family quotient simplifies to < | >, so no coset bound is too big
     records = family_records(pairs, args.max_cosets)
     if args.json:
-        for record in records:
-            _emit_json(_report("family", record))
+        _emit_json(*(_report("family", record) for record in records))
     elif args.tsv or len(records) > 1:
         print("\t".join(_FAMILY_COLUMNS))
         for record in records:
@@ -171,29 +173,40 @@ def cmd_family(args) -> int:
 
 
 def cmd_gluck(args) -> int:
+    from .coset import TableBudgetError, certify_trivial
+    from .words import PresentationError
+
     p = _parse_presentation(args.presentation)
     try:
         p.generator_index(args.kill)
     except PresentationError as exc:
         raise PreconditionError(f"unknown generator {args.kill!r}") from exc
     quotient = p.kill_generator(args.kill)
-    cert = certify_trivial(quotient, args.max_cosets)
-    variant = GluckVariant(args.variant)
+    try:
+        cert = certify_trivial(quotient, args.max_cosets)
+    except TableBudgetError as exc:
+        raise UsageError(str(exc)) from exc
     payload: dict = {
         "input": str(p),
         "kill": args.kill,
-        "variant": variant.value,
+        "variant": args.variant,
         "quotient": str(quotient),
         "pi1": cert.status,
         "pi1_order": cert.order,
     }
-    counts_before: HandleCounts | None = None
-    counts_after: HandleCounts | None = None
+    counts_before = counts_after = None
     if args.bands is not None:
+        from .twoknot import (
+            GluckVariant,
+            InvalidRibbonError,
+            complement_handle_counts,
+            gluck_handle_counts,
+        )
+
         m, n = args.bands
         try:
             counts_before = complement_handle_counts(m, n)
-            counts_after = gluck_handle_counts(counts_before, variant)
+            counts_after = gluck_handle_counts(counts_before, GluckVariant(args.variant))
         except InvalidRibbonError as exc:
             raise PreconditionError(str(exc)) from exc
         payload["handle_counts"] = {
@@ -209,8 +222,8 @@ def cmd_gluck(args) -> int:
         print(f"quotient: {quotient}")
         order = f" (order {cert.order})" if cert.order and not cert.trivial else ""
         print(f"pi1: {cert.status}{order}")
-        print(f"variant: {variant.value}")
-        if counts_before is not None and counts_after is not None:
+        print(f"variant: {args.variant}")
+        if counts_before is not None:
             print(f"counts: {counts_before} -> {counts_after}")
             print(
                 f"chi: {counts_before.euler_characteristic} -> "
@@ -220,6 +233,9 @@ def cmd_gluck(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from .coset import TableBudgetError, enumerate_cosets
+    from .words import PresentationError, WordSyntaxError
+
     p = _parse_presentation(args.presentation)
     subgroup = []
     if args.subgroup:
@@ -231,7 +247,10 @@ def cmd_enum(args) -> int:
                 subgroup.append(p.word(text))
             except (WordSyntaxError, PresentationError) as exc:
                 raise UsageError(f"bad subgroup word {text!r}: {exc}") from exc
-    outcome = enumerate_cosets(p, subgroup, args.max_cosets)
+    try:
+        outcome = enumerate_cosets(p, subgroup, args.max_cosets)
+    except TableBudgetError as exc:
+        raise UsageError(str(exc)) from exc
     payload = {
         "input": str(p),
         "subgroup": [p.word_str(w) for w in subgroup],
@@ -303,10 +322,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError, OrientationError, InvalidRibbonError, PresentationError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (FoxInternalError, AssertionError) as exc:
+    except AssertionError as exc:  # FoxInternalError included
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

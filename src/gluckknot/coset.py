@@ -12,6 +12,15 @@ from typing import Optional, Sequence
 
 from .words import Presentation, Word
 
+# Most entries (cosets times 2 * generators) that max_cosets may let a coset
+# table reach; checked before allocating.  At about 21 bytes an entry (84
+# per coset with two generators) the limit is some 350 MB.
+MAX_TABLE_ENTRIES = 1 << 24
+
+
+class TableBudgetError(ValueError):
+    """max_cosets could fill more than MAX_TABLE_ENTRIES table entries."""
+
 
 class _TableOverflow(Exception):
     pass
@@ -197,9 +206,16 @@ def enumerate_cosets(
     Scans relators in presentation order from each live coset, defining new
     cosets at the first undefined slot and merging coincidences eagerly.
     Every finite outcome is replayed against the relators before returning.
+    Raises TableBudgetError, a ValueError, when max_cosets could fill more
+    than MAX_TABLE_ENTRIES.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
+    if max_cosets * 2 * p.ngens > MAX_TABLE_ENTRIES:
+        raise TableBudgetError(
+            f"max_cosets {max_cosets} times {2 * p.ngens} table columns exceeds "
+            f"the budget of {MAX_TABLE_ENTRIES} table entries"
+        )
     for w in subgroup_words:
         if w.max_generator() >= p.ngens:
             raise ValueError(f"subgroup word {w!r} uses an unknown generator")

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping
 
 from .intmatrix import AbelianGroup, IntMatrix, primitive_vector, smith_normal_form
 from .laurent import (
     LaurentPolynomial,
     divides,
-    laurent_determinant,
     laurent_gcd,
+    laurent_maximal_minors,
     unit_equivalent,
 )
 from .words import Presentation, Word
@@ -29,6 +30,17 @@ class OrientationError(ValueError):
 
 class FoxInternalError(AssertionError):
     """A Fox identity failed; indicates an implementation fault."""
+
+
+# Most row subsets C(relators, generators - 1) of the Alexander matrix, one
+# elimination each, that the first-ideal minors may take; checked before any
+# elimination.  It bounds the count of eliminations, not their size, which
+# grows with the generator count.
+MAX_ROW_SUBSETS = 2000
+
+
+class MinorBoundError(ValueError):
+    """The first elementary ideal needs more than MAX_ROW_SUBSETS eliminations."""
 
 
 class GroupRingElement:
@@ -174,10 +186,29 @@ class AlexanderMatrix:
         return len(self.weights)
 
 
+def _fox_row(r: Word, weights: tuple[int, ...]) -> tuple[LaurentPolynomial, ...]:
+    """Abelianized Fox derivatives of one relator in one pass over it: an
+    occurrence of x_g after a prefix of weight e adds t^e, one of x_g^-1
+    subtracts t^(e - w_g) (Crowell-Fox, ch. VII)."""
+    columns: list[dict[int, int]] = [{} for _ in weights]
+    e = 0
+    for letter in r.letters:
+        g = abs(letter) - 1
+        column = columns[g]
+        if letter > 0:
+            column[e] = column.get(e, 0) + 1
+            e += weights[g]
+        else:
+            e -= weights[g]
+            column[e] = column.get(e, 0) - 1
+    return tuple(LaurentPolynomial(column) for column in columns)
+
+
 def alexander_matrix(
     p: Presentation, weights: tuple[int, ...] | None = None
 ) -> AlexanderMatrix:
-    """Matrix of abelianized Fox derivatives of the cyclically reduced relators.
+    """Matrix of abelianized Fox derivatives of the cyclically reduced
+    relators; entry (i, j) is `abelianize(fox_derivative(r_i, j), weights)`.
 
     Each row is checked against the abelianized fundamental identity
     sum_j entry(i,j) * (t^{w_j} - 1) = 0 before returning.
@@ -187,9 +218,7 @@ def alexander_matrix(
     rows = []
     for r in p.relators:
         r = r.cyclically_reduced()
-        row = tuple(
-            abelianize(fox_derivative(r, g), weights) for g in range(p.ngens)
-        )
+        row = _fox_row(r, weights)
         identity_sum = LaurentPolynomial.zero()
         for g, entry in enumerate(row):
             factor = LaurentPolynomial([(weights[g], 1), (0, -1)])
@@ -213,16 +242,29 @@ class AlexanderResult:
 def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
     """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count,
     rows before columns in lexicographic order.  With no relators the one
-    0 x 0 minor is 1."""
+    0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS."""
+    _check_row_subsets(p)
     return _minors(alexander_matrix(p))
 
 
+def _check_row_subsets(p: Presentation) -> None:
+    k = max(p.ngens - 1, 0)
+    subsets = comb(len(p.relators), k)
+    if subsets > MAX_ROW_SUBSETS:
+        raise MinorBoundError(
+            f"the Alexander matrix has {subsets} row subsets of size {k}, "
+            f"more than the limit of {MAX_ROW_SUBSETS}"
+        )
+
+
 def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
+    """One elimination per row subset gives the minors of all its column
+    subsets; lexicographic column subsets delete the last column first."""
     k = matrix.cols - 1
     return [
-        laurent_determinant([[matrix.entries[i][j] for j in col_idx] for i in row_idx])
-        for row_idx in combinations(range(matrix.rows), k)
-        for col_idx in combinations(range(matrix.cols), k)
+        minor
+        for rows in combinations(matrix.entries, k)
+        for minor in reversed(laurent_maximal_minors(rows))
     ]
 
 
@@ -235,7 +277,9 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
 
     At t = 1 the minors are the (n-1) x (n-1) minors of the exponent matrix,
     which has rank n-1 when H1 has free rank 1, so some minor is nonzero.
+    Raises MinorBoundError past MAX_ROW_SUBSETS, before any elimination.
     """
+    _check_row_subsets(p)
     h1, weights = _abelianization(p)
     minors = _minors(alexander_matrix(p, weights))
     nonzero = [m for m in minors if not m.is_zero()]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .intmatrix import bareiss
+from .intmatrix import bareiss, maximal_minors
 
 
 class LaurentPolynomial:
@@ -217,15 +217,13 @@ def _primitive(cs: list[int]) -> list[int]:
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of dense ascending integer polynomials, deg a >= deg b."""
-    a = list(a)
+    a = _strip(list(a))
     lead = b[-1]
-    while len(a) >= len(b) and _strip(list(a)):
-        a = _strip(a)
-        if len(a) < len(b):
-            break
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         la = a[-1]
-        a = [c * lead for c in a]
+        if lead != 1:
+            a = [c * lead for c in a]
         for i, bc in enumerate(b):
             a[shift + i] -= la * bc
         a = _strip(a)
@@ -308,15 +306,12 @@ def _bareiss_div(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-def laurent_determinant(
+def _shifted_dense(
     rows: Sequence[Sequence[LaurentPolynomial]],
-) -> LaurentPolynomial:
-    """Determinant of a square matrix over Z[t, t^-1].
-
-    Each row is multiplied by the power of t that makes its exponents
-    non-negative, Bareiss elimination runs over Z[t] on dense coefficient
-    lists, and the determinant is shifted back by the total power.
-    """
+) -> tuple[int, list[list[list[int]]]]:
+    """Each row times the power of t that makes its exponents non-negative,
+    as dense coefficient lists over Z[t]; also the total power, by which
+    every maximal minor is shifted."""
     shift = 0
     dense = []
     for row in rows:
@@ -328,9 +323,34 @@ def laurent_determinant(
                 for entry in row
             ]
         )
+    return shift, dense
+
+
+def _from_dense(cs: list[int], shift: int, sign: int = 1) -> LaurentPolynomial:
+    return LaurentPolynomial((e + shift, sign * c) for e, c in enumerate(cs))
+
+
+def laurent_determinant(
+    rows: Sequence[Sequence[LaurentPolynomial]],
+) -> LaurentPolynomial:
+    """Determinant of a square matrix over Z[t, t^-1]: Bareiss elimination
+    over Z[t] on the shifted rows (`_shifted_dense`), shifted back."""
+    shift, dense = _shifted_dense(rows)
     det, negated = bareiss(dense, _mul, _sub, _bareiss_div, [1])
-    sign = -1 if negated else 1
-    return LaurentPolynomial((e + shift, sign * c) for e, c in enumerate(det))
+    return _from_dense(det, shift, -1 if negated else 1)
+
+
+def laurent_maximal_minors(
+    rows: Sequence[Sequence[LaurentPolynomial]],
+) -> list[LaurentPolynomial]:
+    """All maximal minors of an m x (m+1) matrix over Z[t, t^-1] from one
+    elimination over Z[t] (`intmatrix.maximal_minors`); entry j is the minor
+    with column j deleted.  Rows are shifted as for `laurent_determinant`."""
+    shift, dense = _shifted_dense(rows)
+    return [
+        _from_dense(minor, shift)
+        for minor in maximal_minors(dense, _mul, _sub, _bareiss_div, [1])
+    ]
 
 
 def divide_exact(

@@ -4,7 +4,7 @@ import pytest
 
 from gluckknot import __version__
 from gluckknot.cli import main
-from gluckknot.coset import certify_trivial
+from gluckknot.coset import MAX_TABLE_ENTRIES, certify_trivial
 from gluckknot.fox import alexander_polynomial
 from gluckknot.intmatrix import IntMatrix, cokernel
 from gluckknot.twoknot import (
@@ -287,3 +287,32 @@ def test_nonpositive_coset_bound_is_usage_error(capsys, argv):
     assert out == ""
     assert "error:" in err and ">= 1" in err
     assert "Traceback" not in err
+
+
+class TestCosetBudget:
+    """One generator has two table columns per coset."""
+
+    def test_enum_at_budget(self, capsys):
+        bound = str(MAX_TABLE_ENTRIES // 2)
+        code, out, _ = run(capsys, "enum", "<x | x>", "--max-cosets", bound)
+        assert code == 0 and out.endswith("order: 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enum", "<x | x>"),
+            ("enum", "<x | x>", "--subgroup", "x", "--json"),
+            ("gluck", "<x, y | xyXY>", "--kill", "x"),
+        ],
+    )
+    def test_past_budget_is_usage_error(self, capsys, argv):
+        bound = str(MAX_TABLE_ENTRIES // 2 + 1)
+        code, out, err = run(capsys, *argv, "--max-cosets", bound)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"{MAX_TABLE_ENTRIES} table entries" in err
+
+    def test_family_quotients_need_no_table(self, capsys):
+        # every K2(p,q) quotient simplifies to < | >
+        code, _, _ = run(capsys, "family", "1", "2", "--max-cosets", str(10**15))
+        assert code == 0
+

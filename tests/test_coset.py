@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluckknot.coset import CosetTable, certify_trivial, enumerate_cosets
+from gluckknot.coset import (
+    MAX_TABLE_ENTRIES,
+    CosetTable,
+    TableBudgetError,
+    certify_trivial,
+    enumerate_cosets,
+)
 from gluckknot.words import Presentation, Word
 
 
@@ -94,6 +100,25 @@ class TestEnumerate:
         o1 = enumerate_cosets(p, (), 100)
         o2 = enumerate_cosets(p, (), 100)
         assert o1.table == o2.table
+
+
+class TestTableBudget:
+    def test_bound_at_budget_runs(self):
+        # one generator: two table columns per coset
+        outcome = enumerate_cosets(cyclic(1), (), MAX_TABLE_ENTRIES // 2)
+        assert outcome.finite and outcome.order == 1
+
+    def test_bound_past_budget_refused(self):
+        with pytest.raises(TableBudgetError, match=str(MAX_TABLE_ENTRIES)):
+            enumerate_cosets(cyclic(1), (), MAX_TABLE_ENTRIES // 2 + 1)
+        with pytest.raises(ValueError):
+            certify_trivial(dihedral(3), MAX_TABLE_ENTRIES // 4 + 1)
+
+    def test_largest_benchmark_bound_inside_budget(self):
+        # six generators at 60000 cosets (the Coxeter A6 case): under 5%
+        p = Presentation.parse("< a, b, c, d, e, f | a, b, c, d, e, f >")
+        assert 60000 * 2 * p.ngens <= MAX_TABLE_ENTRIES // 20
+        assert enumerate_cosets(p, (), 60000).order == 1
 
 
 class TestKnownOrders:

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 from gluckknot import cli
 from gluckknot.fox import (
+    MAX_ROW_SUBSETS,
+    AlexanderMatrix,
     GroupRingElement,
+    MinorBoundError,
     OrientationError,
+    _minors,
     abelianize,
     alexander_matrix,
     alexander_polynomial,
@@ -222,11 +226,14 @@ def test_fundamental_identity_bulk_seeded():
 
 
 def laplace_determinant(rows):
-    """Oracle: first-row cofactor expansion over Z[t, t^-1]."""
+    """Oracle: first-row cofactor expansion over Z[t, t^-1], skipping the
+    cofactors of zero entries."""
     if not rows:
         return LaurentPolynomial.constant(1)
     total = LaurentPolynomial.zero()
     for j, entry in enumerate(rows[0]):
+        if not entry:
+            continue
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         term = entry * laplace_determinant(minor)
         total = total + (term if j % 2 == 0 else -term)
@@ -272,7 +279,7 @@ def wirtinger_torus(n):
     "p",
     [pres(r) for r in GOLDEN]
     + [pres("xyxYXY"), Presentation.parse("< x | >")]
-    + [wirtinger_torus(n) for n in (3, 5, 7)],
+    + [wirtinger_torus(n) for n in (3, 5, 7, 9, 11)],
 )
 def test_minors_match_laplace(p):
     matrix = alexander_matrix(p)
@@ -283,6 +290,108 @@ def test_minors_match_laplace(p):
         for cols in combinations(range(matrix.cols), k)
     ]
     assert first_ideal_minors(p) == expected
+
+
+def per_minor_oracle(entries, cols):
+    """Each (cols-1) x (cols-1) minor by its own elimination, rows before
+    columns in lexicographic order."""
+    k = cols - 1
+    return [
+        laurent_determinant([[entries[i][j] for j in col_idx] for i in row_idx])
+        for row_idx in combinations(range(len(entries)), k)
+        for col_idx in combinations(range(cols), k)
+    ]
+
+
+@st.composite
+def wide_laurent_st(draw):
+    """An r x (m+1) Laurent matrix, sometimes with a zero column, a repeated
+    or scaled row (rank deficiency) or a zero top-left block (row swaps)."""
+    m = draw(st.integers(min_value=0, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(
+        st.lists(
+            st.lists(small_poly_st, min_size=m + 1, max_size=m + 1),
+            min_size=r,
+            max_size=r,
+        )
+    )
+    if rows and draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=m))
+        for row in rows:
+            row[j] = LaurentPolynomial.zero()
+    if len(rows) >= 2 and draw(st.booleans()):
+        factor = draw(small_poly_st)
+        rows[1] = [entry * factor for entry in rows[0]]
+    if rows and draw(st.booleans()):
+        corner = draw(st.integers(min_value=1, max_value=m + 1))
+        for row in rows[: len(rows) - 1]:
+            row[:corner] = [LaurentPolynomial.zero()] * corner
+    return rows, m + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_laurent_st())
+def test_minors_match_per_minor_oracle(case):
+    rows, cols = case
+    matrix = AlexanderMatrix(tuple(map(tuple, rows)), weights=(0,) * cols)
+    assert _minors(matrix) == per_minor_oracle(rows, cols)
+
+
+def test_minors_of_empty_block():
+    # the 0 x 1 matrix has one maximal minor, the empty determinant
+    assert _minors(AlexanderMatrix((), weights=(1,))) == [LaurentPolynomial.constant(1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_st, st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
+def test_fox_rows_match_derivative_oracle(word, wy, wz):
+    """Rows from prefix weights against abelianize(fox_derivative(...)); the
+    relator ends in x^-e, e its weight, so the row identity holds."""
+    weights = (1, wy, wz)
+    e = sum(w * s for w, s in zip(weights, word.exponent_sums(3)))
+    relator = word * Word([1]) ** (-e)
+    p = Presentation(("x", "y", "z"), [relator])
+    (row,) = alexander_matrix(p, weights).entries
+    r = relator.cyclically_reduced()
+    assert row == tuple(abelianize(fox_derivative(r, g), weights) for g in range(3))
+
+
+def test_torus_knot_25_from_words():
+    # beyond the 26-letter text grammar; T(2,25) takes 25 eliminations
+    result = alexander_polynomial(wirtinger_torus(25))
+    assert result.certified_principal
+    expected = LaurentPolynomial({k: (-1) ** k for k in range(25)})
+    assert unit_equivalent(result.polynomial, expected)
+
+
+def relators_around_limit(extra):
+    """<x, y | y, xyXY, ...> with MAX_ROW_SUBSETS + extra relators: one row
+    subset per relator, and H1 = Z."""
+    return Presentation.parse(
+        "<x, y | y, " + ", ".join(["xyXY"] * (MAX_ROW_SUBSETS - 1 + extra)) + ">"
+    )
+
+
+def test_row_subset_bound_at_limit():
+    p = relators_around_limit(0)
+    assert len(first_ideal_minors(p)) == 2 * MAX_ROW_SUBSETS
+    assert alexander_polynomial(p).polynomial == LaurentPolynomial.constant(1)
+
+
+def test_row_subset_bound_above_limit():
+    p = relators_around_limit(1)
+    with pytest.raises(MinorBoundError, match=str(MAX_ROW_SUBSETS)):
+        first_ideal_minors(p)
+    with pytest.raises(MinorBoundError):
+        alexander_polynomial(p)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", str(p)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith(
+        f"error: the Alexander matrix has {MAX_ROW_SUBSETS + 1} row subsets"
+    )
 
 
 def test_torus_knot_delta():

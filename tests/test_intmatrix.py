@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from gluckknot.intmatrix import (
     cokernel,
     determinant,
     kernel_basis,
+    maximal_minors,
     primitive_vector,
     smith_normal_form,
 )
@@ -167,3 +169,35 @@ def test_determinant_needs_row_swaps():
     assert determinant(IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
     assert determinant(IntMatrix([[0, 1, 2], [0, 3, 4], [5, 6, 7]])) == -10
     assert determinant(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])) == 0
+
+
+wide_st = st.integers(min_value=0, max_value=4).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=m + 1, max_size=m + 1),
+        min_size=m,
+        max_size=m,
+    )
+)
+
+
+def int_maximal_minors(rows):
+    return maximal_minors(rows, operator.mul, operator.sub, operator.floordiv, 1)
+
+
+@given(wide_st)
+def test_maximal_minors_match_leibniz(rows):
+    expected = [
+        leibniz_determinant([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(len(rows) + 1)
+    ]
+    assert int_maximal_minors(rows) == expected
+
+
+def test_maximal_minors_rank_and_swaps():
+    minors = int_maximal_minors
+    assert minors([]) == [1]
+    assert minors([[0, 0]]) == [0, 0]
+    assert minors([[1, 2, 3], [2, 4, 6]]) == [0, 0, 0]
+    # the non-pivot column comes first; a zero pivot forces a swap
+    assert minors([[0, 1, 2], [0, 3, 4]]) == [-2, 0, 0]
+    assert minors([[0, 1, 0], [1, 0, 0]]) == [0, 0, -1]

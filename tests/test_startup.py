@@ -1,0 +1,70 @@
+"""Start-up cost of the CLI: the gluckknot modules each subcommand loads,
+and the lazy package namespace that keeps the rest unloaded."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gluckknot
+
+SRC = Path(gluckknot.__file__).resolve().parent.parent
+
+
+def loaded_modules(*argv):
+    """The gluckknot modules that `python -m gluckknot.cli ARGV` imports, as
+    `-X importtime` reports them (the CLI module itself runs as __main__)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gluckknot.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return {name for name in names if name.split(".")[0] == "gluckknot"}
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (("--version",), {"gluckknot"}),
+        (("enum", "<x | x^3>"), {"gluckknot", "gluckknot.words", "gluckknot.coset"}),
+        (
+            ("alex", "<x, y | xyxYXY>"),
+            {
+                "gluckknot",
+                "gluckknot.words",
+                "gluckknot.intmatrix",
+                "gluckknot.laurent",
+                "gluckknot.fox",
+            },
+        ),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, modules):
+    assert loaded_modules(*argv) == modules
+
+
+def test_every_public_name_resolves():
+    listed = set(dir(gluckknot))
+    for name in gluckknot.__all__:
+        value = getattr(gluckknot, name)
+        assert value.__module__.startswith("gluckknot."), name
+        assert name in listed
+
+
+def test_star_import_and_unknown_name():
+    namespace = {}
+    exec("from gluckknot import *", namespace)
+    assert set(gluckknot.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        gluckknot.no_such_name
