@@ -7,8 +7,8 @@ is inconclusive, never a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .words import Presentation, Word
 
@@ -30,7 +30,8 @@ class CosetTable:
     """Mutable enumeration state in one flat list of ints: row c occupies
     table[c * ncols : (c + 1) * ncols], one column per signed generator, and
     -1 marks an undefined entry.  Dead cosets forward to their replacement
-    union-find style."""
+    union-find style.  Once `coincidence` returns, live rows reference only
+    live cosets, so scans read entries without resolving them."""
 
     def __init__(self, ngens: int, max_cosets: int):
         self.ngens = ngens
@@ -72,18 +73,18 @@ class CosetTable:
         self.table[d * n + (col ^ 1)] = c
         return d
 
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.parent[b] = a
-            queue.append(b)
-
     def coincidence(self, a: int, b: int) -> None:
-        table, n, rep = self.table, self.ncols, self.rep
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        for dead in queue:  # _merge appends while this loop runs
+        """Merge the live cosets a and b and every coincidence that follows,
+        the larger coset of each pair dying into the smaller (Holt, Eick and
+        O'Brien, Handbook of Computational Group Theory, 5.1).  Afterwards
+        live rows reference only live cosets."""
+        table, parent, n, rep = self.table, self.parent, self.ncols, self.rep
+        if a == b:
+            return
+        a, b = min(a, b), max(a, b)
+        parent[b] = a
+        queue = [b]
+        for dead in queue:  # merges append while this loop runs
             base = dead * n
             for col in range(n):
                 d = table[base + col]
@@ -91,59 +92,84 @@ class CosetTable:
                     continue
                 inv = col ^ 1
                 table[d * n + inv] = -1
-                mu, nu = rep(dead), rep(d)
+                # rep(dead) and rep(d), calling rep only past one step
+                mu = parent[dead]
+                if parent[mu] != mu:
+                    mu = rep(mu)
+                nu = d if parent[d] == d else rep(d)
                 e = table[mu * n + col]
                 if e >= 0:
-                    self._merge(nu, e, queue)
-                    continue
-                e = table[nu * n + inv]
-                if e >= 0:
-                    self._merge(mu, e, queue)
+                    x = nu
                 else:
-                    table[mu * n + col] = nu
-                    table[nu * n + inv] = mu
+                    e = table[nu * n + inv]
+                    if e < 0:
+                        table[mu * n + col] = nu
+                        table[nu * n + inv] = mu
+                        continue
+                    x = mu
+                # merge x, a live coset, with e
+                if parent[e] != e:
+                    e = rep(e)
+                if x != e:
+                    x, e = min(x, e), max(x, e)
+                    parent[e] = x
+                    queue.append(e)
 
     def scan_and_fill(
-        self, start: int, cols: Sequence[int], back: Sequence[int]
+        self, start: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
     ) -> None:
-        """Scan a compiled, freely reduced word from `start`, defining cosets
-        at the first gap until it closes or deduces.
+        """Scan compiled, freely reduced words from the live coset `start`,
+        in order, defining cosets at the first gap of each until it closes or
+        deduces; stops early when a coincidence kills `start`.
 
-        Defining fills one gap and changes no other entry, so both scans
-        resume where they stopped instead of restarting from `start`.
+        Defining fills one gap and changes no other entry: the backward scan
+        resumes where it stopped, and the forward one stops at the next
+        letter, since the new coset's only entry is the inverse of the letter
+        that defined it.
         """
         table, parent, n = self.table, self.parent, self.ncols
-        length = len(cols)
-        if parent[start] != start:
-            start = self.rep(start)
-        f, i = start, 0
-        b, j = start, length - 1
-        while True:
+        limit, blank = self.max_cosets, self._blank_row
+        for cols, back in words:
+            length = len(cols)
+            f, i = start, 0
             while i < length:
                 d = table[f * n + cols[i]]
                 if d < 0:
                     break
-                f = d if parent[d] == d else self.rep(d)
+                f = d
                 i += 1
-            if i == length:
+            else:  # the word closes from start
                 if f != start:
                     self.coincidence(f, start)
-                return
-            while j >= i:
-                d = table[b * n + back[j]]
-                if d < 0:
+                    if parent[start] != start:
+                        return
+                continue
+            b, j = start, length - 1
+            while True:
+                while j >= i:
+                    d = table[b * n + back[j]]
+                    if d < 0:
+                        break
+                    b = d
+                    j -= 1
+                if j < i:
+                    self.coincidence(f, b)
                     break
-                b = d if parent[d] == d else self.rep(d)
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
+                if j == i:
+                    table[f * n + cols[i]] = b
+                    table[b * n + back[i]] = f
+                    break
+                d = len(parent)
+                if d >= limit:
+                    raise _TableOverflow
+                parent.append(d)
+                table.extend(blank)
+                table[f * n + cols[i]] = d
+                table[d * n + back[i]] = f
+                f = d
+                i += 1
+            if parent[start] != start:
                 return
-            if j == i:
-                table[f * n + cols[i]] = b
-                table[b * n + back[i]] = f
-                return
-            f = self.define(f, cols[i])
-            i += 1
 
     def live_cosets(self) -> list[int]:
         parent = self.parent
@@ -153,22 +179,23 @@ class CosetTable:
         table, n = self.table, self.ncols
         return all(-1 not in table[c * n : c * n + n] for c in self.live_cosets())
 
-    def compact(self) -> list[list[int]]:
-        """Renumber live cosets 0..n-1 and resolve entries through reps.
-        Requires a complete table."""
-        if not self.is_complete():
-            raise ValueError("table is not complete")
-        n = self.ncols
+    def compact(self) -> list[tuple[int, ...]]:
+        """Renumber live cosets 0..n-1 in one pass over their rows.  Requires
+        a complete table: an undefined entry, or one naming a dead coset,
+        raises ValueError."""
+        table, n = self.table, self.ncols
         live = self.live_cosets()
-        index = {c: k for k, c in enumerate(live)}
-        return [
-            [index[self.rep(e)] for e in self.table[c * n : c * n + n]]
-            for c in live
-        ]
+        # index[-1], an undefined entry, stays -1 like every dead coset
+        index = [-1] * (len(self.parent) + 1)
+        for k, c in enumerate(live):
+            index[c] = k
+        rows = [tuple(map(index.__getitem__, table[c * n : c * n + n])) for c in live]
+        if any(-1 in row for row in rows):
+            raise ValueError("table is not complete")
+        return rows
 
 
-@dataclass(frozen=True)
-class EnumerationOutcome:
+class EnumerationOutcome(NamedTuple):
     """Result of a bounded enumeration.  `order` is the subgroup index (the
     group order for the trivial subgroup) and is set only when finite."""
 
@@ -178,21 +205,36 @@ class EnumerationOutcome:
     table: Optional[tuple[tuple[int, ...], ...]] = None
 
 
-def _replay(
-    table: list[list[int]], relators: Sequence[Word], subgroup: Sequence[Word]
-) -> None:
-    def trace(c: int, cols: tuple[int, ...]) -> int:
-        for col in cols:
-            c = table[c][col]
-        return c
+def _gather(values: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """The tuple of values[i] for i in indices, built in C."""
+    if len(indices) == 1:  # itemgetter of one index returns the bare item
+        return (values[indices[0]],)
+    return itemgetter(*indices)(values)
 
-    relator_cols = [CosetTable.compile(r)[0] for r in relators]
-    for c in range(len(table)):
-        for cols in relator_cols:
-            if trace(c, cols) != c:
-                raise AssertionError("relator does not close on the final table")
+
+def _replay(
+    table: Sequence[Sequence[int]],
+    relators: Sequence[Word],
+    subgroup: Sequence[Word],
+) -> None:
+    """Every coset closes every relator and every subgroup word fixes coset
+    0, checked a column at a time: all cosets go through a relator together,
+    column[c] for each coset c at each letter.  Raises AssertionError
+    otherwise."""
+    columns = list(zip(*table))
+    identity = tuple(range(len(table)))
+    for r in relators:
+        cols = CosetTable.compile(r)[0]
+        cosets = columns[cols[0]] if cols else identity
+        for col in cols[1:]:
+            cosets = _gather(columns[col], cosets)
+        if cosets != identity:
+            raise AssertionError("relator does not close on the final table")
     for w in subgroup:
-        if trace(0, CosetTable.compile(w)[0]) != 0:
+        c = 0
+        for col in CosetTable.compile(w)[0]:
+            c = table[c][col]
+        if c != 0:
             raise AssertionError("subgroup word moves the base coset")
 
 
@@ -222,25 +264,19 @@ def enumerate_cosets(
     ct = CosetTable(p.ngens, max_cosets)
     table, parent, n = ct.table, ct.parent, ct.ncols
     relators = [ct.compile(r) for r in p.relators]
+    scan = ct.scan_and_fill
     try:
-        for w in subgroup_words:
-            ct.scan_and_fill(0, *ct.compile(w))
+        scan(0, [ct.compile(w) for w in subgroup_words])
         while True:
-            alpha = 0
-            while alpha < len(parent):
-                if parent[alpha] != alpha:
-                    alpha += 1
-                    continue
-                for cols, back in relators:
-                    ct.scan_and_fill(alpha, cols, back)
-                    if parent[alpha] != alpha:
-                        break
-                else:
-                    base = alpha * n
-                    for col in range(n):
-                        if table[base + col] < 0:
-                            ct.define(alpha, col)
-                alpha += 1
+            # the list iterator also visits cosets defined while it runs
+            for alpha, root in enumerate(parent):
+                if root == alpha:
+                    scan(alpha, relators)
+                    if parent[alpha] == alpha:
+                        base = alpha * n
+                        for col in range(n):
+                            if table[base + col] < 0:
+                                ct.define(alpha, col)
             # a late coincidence can clear an entry of an earlier live row
             if ct.is_complete():
                 break
@@ -249,15 +285,11 @@ def enumerate_cosets(
     final = ct.compact()
     _replay(final, p.relators, subgroup_words)
     return EnumerationOutcome(
-        finite=True,
-        order=len(final),
-        max_cosets=max_cosets,
-        table=tuple(tuple(row) for row in final),
+        finite=True, order=len(final), max_cosets=max_cosets, table=tuple(final)
     )
 
 
-@dataclass(frozen=True)
-class TrivialityCertificate:
+class TrivialityCertificate(NamedTuple):
     trivial: bool
     order: Optional[int]  # finite order found, when any
 

@@ -8,10 +8,9 @@ polynomial when the first elementary ideal is principal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .intmatrix import AbelianGroup, IntMatrix, primitive_vector, smith_normal_form
 from .laurent import (
@@ -33,14 +32,20 @@ class FoxInternalError(AssertionError):
 
 
 # Most row subsets C(relators, generators - 1) of the Alexander matrix, one
-# elimination each, that the first-ideal minors may take; checked before any
-# elimination.  It bounds the count of eliminations, not their size, which
-# grows with the generator count.
+# elimination each, that the first-ideal minors may take; checked before the
+# matrix is built.
 MAX_ROW_SUBSETS = 2000
+
+# Most coefficient products that the eliminations may take, as `_minor_work`
+# estimates them from the Alexander matrix before any elimination.  On a
+# 2-core machine a dense 2 x 3 block at the limit (exponent span 2235) takes
+# about 3 s, and Wirtinger T(2,25), estimated at 8.9e6, takes 0.5 s.
+MAX_MINOR_WORK = 10**7
 
 
 class MinorBoundError(ValueError):
-    """The first elementary ideal needs more than MAX_ROW_SUBSETS eliminations."""
+    """The first elementary ideal needs more than MAX_ROW_SUBSETS eliminations
+    or more than MAX_MINOR_WORK coefficient products."""
 
 
 class GroupRingElement:
@@ -169,8 +174,7 @@ def abelianize(
     return LaurentPolynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
+class AlexanderMatrix(NamedTuple):
     """Abelianized Fox derivatives: one row per relator, one column per
     generator."""
 
@@ -231,8 +235,7 @@ def alexander_matrix(
     return AlexanderMatrix(entries=tuple(rows), weights=weights)
 
 
-@dataclass(frozen=True)
-class AlexanderResult:
+class AlexanderResult(NamedTuple):
     polynomial: LaurentPolynomial
     certified_principal: bool
     weights: tuple[int, ...]
@@ -242,7 +245,8 @@ class AlexanderResult:
 def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
     """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count,
     rows before columns in lexicographic order.  With no relators the one
-    0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS."""
+    0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS or
+    MAX_MINOR_WORK."""
     _check_row_subsets(p)
     return _minors(alexander_matrix(p))
 
@@ -257,9 +261,33 @@ def _check_row_subsets(p: Presentation) -> None:
         )
 
 
+def _minor_work(matrix: AlexanderMatrix) -> int:
+    """Estimated coefficient products of the first-ideal minors.  Each row
+    subset is an m x (m+1) block, m = generators - 1; step k of its
+    fraction-free elimination updates (m-k)(m+1-k) entries with products of
+    polynomials of about k*S + 1 coefficients, S being the widest exponent
+    span of a row.  Back substitution costs about as much again."""
+    m = max(matrix.cols - 1, 0)
+    span = 0
+    for row in matrix.entries:
+        nonzero = [entry for entry in row if entry]
+        if nonzero:
+            top = max(entry.max_exponent for entry in nonzero)
+            span = max(span, top - min(entry.min_exponent for entry in nonzero))
+    block = sum((m - k) * (m + 1 - k) * (k * span + 1) ** 2 for k in range(1, m))
+    return comb(matrix.rows, m) * block
+
+
 def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
     """One elimination per row subset gives the minors of all its column
-    subsets; lexicographic column subsets delete the last column first."""
+    subsets; lexicographic column subsets delete the last column first.
+    Raises MinorBoundError past MAX_MINOR_WORK, before any elimination."""
+    work = _minor_work(matrix)
+    if work > MAX_MINOR_WORK:
+        raise MinorBoundError(
+            f"the Alexander minors need an estimated {work} coefficient products, "
+            f"more than the limit of {MAX_MINOR_WORK}"
+        )
     k = matrix.cols - 1
     return [
         minor
@@ -277,7 +305,8 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
 
     At t = 1 the minors are the (n-1) x (n-1) minors of the exponent matrix,
     which has rank n-1 when H1 has free rank 1, so some minor is nonzero.
-    Raises MinorBoundError past MAX_ROW_SUBSETS, before any elimination.
+    Raises MinorBoundError past MAX_ROW_SUBSETS or MAX_MINOR_WORK, before
+    any elimination.
     """
     _check_row_subsets(p)
     h1, weights = _abelianization(p)

@@ -6,9 +6,8 @@ All arithmetic is arbitrary-precision; no floating point anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd as int_gcd
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 
 class IntMatrix:
@@ -178,8 +177,7 @@ def determinant(m: IntMatrix) -> int:
     return -det if negated else det
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Diagonalization D = L A R with unimodular L, R and d_i | d_{i+1}."""
 
     diagonal: tuple[int, ...]
@@ -304,8 +302,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(diagonal=diagonal, left=left, right=right)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """Finitely generated abelian group: free rank plus torsion coefficients."""
 
     rank: int

@@ -12,8 +12,7 @@ certified trivial by coset enumeration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coset import certify_trivial
 from .fox import AlexanderResult, alexander_polynomial
@@ -26,24 +25,33 @@ class InvalidRibbonError(ValueError):
     """Ribbon data fails a normal-form or homology requirement."""
 
 
-@dataclass(frozen=True)
-class HandleCounts:
+class _HandleCountFields(NamedTuple):
     h0: int
     h1: int
     h2: int
     h3: int
     h4: int
 
-    def __post_init__(self):
-        if min(self.h0, self.h1, self.h2, self.h3, self.h4) < 0:
+
+class HandleCounts(_HandleCountFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "HandleCounts":
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 0:
             raise ValueError("handle counts must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "HandleCounts":  # and so _replace: validated
+        return cls(*iterable)
 
     @property
     def euler_characteristic(self) -> int:
         return self.h0 - self.h1 + self.h2 - self.h3 + self.h4
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.h0, self.h1, self.h2, self.h3, self.h4)
+        return tuple(self)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(h) for h in self.as_tuple()) + ")"
@@ -100,8 +108,16 @@ def gluck_handle_counts(c: HandleCounts, variant: GluckVariant) -> HandleCounts:
     return HandleCounts(1, m - 1, m + n, n + 1, 1)
 
 
-@dataclass(frozen=True)
-class RibbonTwoKnot:
+class _RibbonFields(NamedTuple):
+    label: str
+    lower_bands: int
+    upper_bands: int
+    generators: tuple[str, ...]
+    complement_relators: tuple[Word, ...]
+    meridian_generators: tuple[str, ...]
+
+
+class RibbonTwoKnot(_RibbonFields):
     """Ribbon-presentation bookkeeping for a 2-knot in normal form.
 
     Generators g_0..g_m are the meridians of the m+1 dotted circles; the
@@ -110,14 +126,10 @@ class RibbonTwoKnot:
     eliminated), so the relator count may fall short of m + n.
     """
 
-    label: str
-    lower_bands: int
-    upper_bands: int
-    generators: tuple[str, ...]
-    complement_relators: tuple[Word, ...]
-    meridian_generators: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> "RibbonTwoKnot":
+        self = super().__new__(cls, *args, **kwargs)
         if self.lower_bands < 1 or self.upper_bands < 1:
             raise InvalidRibbonError("need at least one band per hemisphere")
         if len(self.generators) != self.lower_bands + 1:
@@ -138,6 +150,11 @@ class RibbonTwoKnot:
         for g in self.meridian_generators:
             if g not in self.generators:
                 raise InvalidRibbonError(f"meridian {g!r} is not a generator")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RibbonTwoKnot":  # and so _replace: validated
+        return cls(*iterable)
 
     def handle_counts(self) -> HandleCounts:
         return complement_handle_counts(self.lower_bands, self.upper_bands)
@@ -221,8 +238,7 @@ def delta_equivalent(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     return unit_equivalent(a, b) or unit_equivalent(a, b.reciprocal())
 
 
-@dataclass(frozen=True)
-class FamilyClassification:
+class FamilyClassification(NamedTuple):
     p: int
     q: int
     parity: ParityClass

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from gluckknot import __version__
-from gluckknot.cli import main
+from gluckknot import __version__, cli
+from gluckknot.cli import MAX_GRID_RECORDS, main
 from gluckknot.coset import MAX_TABLE_ENTRIES, certify_trivial
 from gluckknot.fox import alexander_polynomial
 from gluckknot.intmatrix import IntMatrix, cokernel
@@ -166,6 +171,28 @@ class TestFamily:
         code, _, err = run(capsys, "family", "--grid", "2..0", "0..1")
         assert code == 1
 
+    def test_grid_at_record_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_RECORDS", 6)
+        code, out, _ = run(capsys, "family", "--grid", "0..1", "-1..1", "--json")
+        assert code == 0 and len(out.splitlines()) == 6
+        code, out, err = run(capsys, "family", "--grid", "0..0", "-3..3", "--json")
+        assert code == 1 and out == ""
+        assert err == "error: grid of 7 records exceeds the limit of 6\n"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (f"1..{MAX_GRID_RECORDS}", "0..1"),
+            ("0..99999999999999999999", "-99999999999999999999..0"),
+        ],
+    )
+    def test_grid_past_record_limit(self, capsys, grid):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "--grid", *grid)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"exceeds the limit of {MAX_GRID_RECORDS}" in err
+
     def test_missing_args(self, capsys):
         code, _, _ = run(capsys, "family")
         assert code == 1
@@ -316,3 +343,100 @@ class TestCosetBudget:
         code, _, _ = run(capsys, "family", "1", "2", "--max-cosets", str(10**15))
         assert code == 0
 
+
+
+FUZZ_WORDS = (
+    "alex family gluck enum --json --tsv --grid --kill --bands --variant single "
+    "double --subgroup --max --max-cosets --version -h x y z 0 1 -1 2 -2..2"
+).split()
+
+
+def fuzz_presentation():
+    """Presentation text on x, y, z with relators of arbitrary letters,
+    carets, signs and digits."""
+
+    def text(gens, relators):
+        return f"<{', '.join(gens)} | {', '.join(relators)}>"
+
+    return st.sampled_from(["x", "xy", "xyz"]).flatmap(
+        lambda gens: st.builds(
+            text,
+            st.just(gens),
+            st.lists(
+                st.text(alphabet=gens + gens.upper() + "^-0123456789", max_size=12),
+                max_size=3,
+            ),
+        )
+    )
+
+
+def fuzz_range():
+    bound = st.integers(-30, 30) | st.integers()
+    return st.builds(lambda a, b: f"{a}..{b}", bound, bound)
+
+
+FUZZ_TOKEN = (
+    st.sampled_from(FUZZ_WORDS)
+    | fuzz_presentation()
+    | st.text(alphabet="<>|,^-0123456789 xyzXYZab", max_size=30)
+    | fuzz_range()
+    | st.integers().map(str)
+    | st.text(max_size=8)
+)
+
+
+def fuzz_command():
+    """A well-formed command line of each subcommand, with fuzzed values."""
+    pres = fuzz_presentation()
+    flag = st.lists(st.sampled_from(["--json", "--tsv"]), max_size=1)
+    number = st.integers(-50, 50).map(str)
+    return st.one_of(
+        st.tuples(st.just(["alex"]), pres.map(lambda t: [t]), flag),
+        st.tuples(
+            st.just(["enum"]),
+            pres.map(lambda t: [t]),
+            st.lists(st.text(alphabet="xyzXYZ,^-2", max_size=6), max_size=1).map(
+                lambda ws: ["--subgroup", *ws] if ws else []
+            ),
+            flag,
+        ),
+        st.tuples(
+            st.just(["gluck"]),
+            pres.map(lambda t: [t]),
+            st.sampled_from(["x", "y", "z"]).map(lambda g: ["--kill", g]),
+            st.lists(number, min_size=2, max_size=2).map(lambda mn: ["--bands", *mn]),
+            st.sampled_from(["single", "double"]).map(lambda v: ["--variant", v]),
+            flag,
+        ),
+        st.tuples(st.just(["family"]), st.lists(number, min_size=2, max_size=2), flag),
+        st.tuples(
+            st.just(["family", "--grid"]),
+            st.lists(fuzz_range(), min_size=2, max_size=2),
+            flag,
+        ),
+    ).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        fuzz_command(),
+        st.builds(lambda a, b: a + b, fuzz_command(), st.lists(FUZZ_TOKEN, max_size=3)),
+        st.lists(FUZZ_TOKEN, max_size=8),
+    ),
+    st.integers(min_value=1, max_value=200),
+)
+def test_cli_fuzz(argv, bound):
+    """Any argv ends in a documented exit code, 0-2, without a traceback and
+    in bounded time; a small coset bound comes last, so it wins."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--max-cosets", str(bound)])
+        except SystemExit as exc:  # --help and --version print and exit 0
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert time.perf_counter() - start < 10.0

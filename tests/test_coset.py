@@ -6,6 +6,7 @@ from gluckknot.coset import (
     MAX_TABLE_ENTRIES,
     CosetTable,
     TableBudgetError,
+    _replay,
     certify_trivial,
     enumerate_cosets,
 )
@@ -310,6 +311,7 @@ class TestAgainstSeedTable:
             ("A4", 4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 120),
             ("A5", 5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}, 720),
             ("F4", 4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 1152),
+            ("A6", 6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}, 5040),
         ],
     )
     def test_coxeter(self, name, rank, m, order):
@@ -339,3 +341,114 @@ class TestAgainstSeedTable:
         n, relators, subgroup, max_cosets = case
         p = Presentation(list("xyz"[:n]), relators)
         assert_matches_seed(p, subgroup, max_cosets)
+
+
+A5 = coxeter(5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3})
+F4 = coxeter(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3})
+
+
+class TestLiveRowsAfterCoincidence:
+    """The scans read table entries without resolving them, which is sound
+    only if no live row references a dead coset once `coincidence` returns."""
+
+    @pytest.mark.parametrize(
+        "p,max_cosets",
+        [(A5, 60000), (F4, 60000), (Presentation.parse("< x, y | xyXY >"), 2000)],
+    )
+    def test_no_live_row_references_a_dead_coset(self, monkeypatch, p, max_cosets):
+        calls = []
+        coincidence = CosetTable.coincidence
+
+        def checked(self, a, b):
+            coincidence(self, a, b)
+            calls.append((a, b))
+            n, parent = self.ncols, self.parent
+            for c in range(len(parent)):
+                if parent[c] == c:
+                    for e in self.table[c * n : c * n + n]:
+                        assert e < 0 or parent[e] == e, (c, e)
+
+        monkeypatch.setattr(CosetTable, "coincidence", checked)
+        enumerate_cosets(p, (), max_cosets)
+        assert calls
+
+
+def trace_replay(table, relators, subgroup):
+    """Oracle: the per-coset replay that the column-wise one replaced."""
+
+    def trace(c, cols):
+        for col in cols:
+            c = table[c][col]
+        return c
+
+    relator_cols = [CosetTable.compile(r)[0] for r in relators]
+    for c in range(len(table)):
+        for cols in relator_cols:
+            if trace(c, cols) != c:
+                raise AssertionError("relator does not close on the final table")
+    for w in subgroup:
+        if trace(0, CosetTable.compile(w)[0]) != 0:
+            raise AssertionError("subgroup word moves the base coset")
+
+
+def accepts(replay, table, relators, subgroup):
+    try:
+        replay(table, relators, subgroup)
+    except AssertionError:
+        return False
+    return True
+
+
+class TestColumnReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(word_on(n, 8), min_size=1, max_size=3),
+                st.lists(word_on(n, 3), max_size=1),
+                st.lists(word_on(n, 6), max_size=2),
+                st.randoms(use_true_random=False),
+            )
+        )
+    )
+    def test_agrees_with_per_coset_oracle(self, case):
+        n, relators, subgroup, extra, rng = case
+        p = Presentation(list("xyz"[:n]), relators)
+        outcome = enumerate_cosets(p, subgroup, 200)
+        if not outcome.finite:
+            return
+        table = [list(row) for row in outcome.table]
+        # valid as enumerated; the extra words need not close on it
+        for words in (p.relators, list(p.relators) + extra):
+            assert accepts(_replay, table, words, subgroup) == accepts(
+                trace_replay, table, words, subgroup
+            )
+        # one entry corrupted, within the range of coset numbers
+        c = rng.randrange(len(table))
+        col = rng.randrange(2 * n)
+        table[c][col] = rng.randrange(len(table))
+        for sub in (subgroup, extra):
+            assert accepts(_replay, table, p.relators, sub) == accepts(
+                trace_replay, table, p.relators, sub
+            )
+
+    def test_rejection_raises_assertion_error(self):
+        p = dihedral(3)
+        table = [list(row) for row in enumerate_cosets(p, (), 100).table]
+        table[0][0] = 0 if table[0][0] else 1
+        with pytest.raises(AssertionError, match="relator does not close"):
+            _replay(table, p.relators, ())
+        q = cyclic(6)
+        table = enumerate_cosets(q, (), 100).table
+        with pytest.raises(AssertionError, match="moves the base coset"):
+            _replay(table, q.relators, [q.word("x")])
+
+    def test_one_coset(self):
+        # gathering one coset, where itemgetter alone would return a bare int
+        p = Presentation.parse("< x, y | x^2y, xy >")
+        outcome = enumerate_cosets(p, [p.word("xY")], 10)
+        assert outcome.table == ((0, 0, 0, 0),)
+        _replay(outcome.table, p.relators, [p.word("xY")])
+        with pytest.raises(AssertionError):
+            _replay(((1, 1), (0, 0)), [Word([1, 1, 1])], ())

@@ -1,15 +1,17 @@
 import contextlib
 import io
 import random
+import time
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluckknot import cli
+from gluckknot import cli, fox
 from gluckknot.fox import (
+    MAX_MINOR_WORK,
     MAX_ROW_SUBSETS,
     AlexanderMatrix,
     GroupRingElement,
@@ -392,6 +394,66 @@ def test_row_subset_bound_above_limit():
     assert err.getvalue().startswith(
         f"error: the Alexander matrix has {MAX_ROW_SUBSETS + 1} row subsets"
     )
+
+
+def chain3(e):
+    """<x,y,z | x^e Y^e, y^e Z^e>: one 2 x 3 row block, both rows spanning
+    e - 1 powers of t, so the estimate is 1 * 2 * e^2 coefficient products."""
+    return Presentation.parse(f"<x, y, z | x^{e} Y^{e}, y^{e} Z^{e}>")
+
+
+class EliminationReached(Exception):
+    pass
+
+
+def test_minor_work_bound_at_limit(monkeypatch):
+    e = isqrt(MAX_MINOR_WORK // 2)  # 2e^2 <= limit < 2(e+1)^2
+
+    def stop(rows):
+        raise EliminationReached
+
+    # the block at the limit is admitted (its eliminations take seconds)
+    monkeypatch.setattr(fox, "laurent_maximal_minors", stop)
+    with pytest.raises(EliminationReached):
+        alexander_polynomial(chain3(e))
+    with pytest.raises(EliminationReached):
+        first_ideal_minors(chain3(e))
+
+
+def test_minor_work_bound_above_limit(monkeypatch):
+    e = isqrt(MAX_MINOR_WORK // 2) + 1
+    monkeypatch.setattr(fox, "laurent_maximal_minors", None)  # never reached
+    message = f"estimated {2 * e * e} coefficient products, more than the limit"
+    with pytest.raises(MinorBoundError, match=message):
+        alexander_polynomial(chain3(e))
+    with pytest.raises(MinorBoundError, match=message):
+        first_ideal_minors(chain3(e))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<x,y,z | x^4000 Y^4000, y^4000 Z^4000>",
+        "<w,x,y,z | w^3000 X^3000, x^3000 Y^3000, y^3000 Z^3000>",
+        "<a,b,c,d,e,f | a^2000 B^2000, b^2000 C^2000, c^2000 D^2000,"
+        " d^2000 E^2000, e^2000 F^2000>",
+    ],
+)
+def test_large_blocks_refused_quickly(text):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", text])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: the Alexander minors need an estimated")
+
+
+def test_long_relator_on_two_generators_admitted():
+    # a 1 x 2 block needs no products, whatever its exponent span
+    result = alexander_polynomial(Presentation.parse("<x, y | x^9999 y>"))
+    assert result.polynomial == LaurentPolynomial.constant(1)
+    assert result.weights == (1, -9999)
 
 
 def test_torus_knot_delta():

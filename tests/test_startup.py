@@ -13,8 +13,8 @@ import gluckknot
 SRC = Path(gluckknot.__file__).resolve().parent.parent
 
 
-def loaded_modules(*argv):
-    """The gluckknot modules that `python -m gluckknot.cli ARGV` imports, as
+def imported_modules(*argv):
+    """The modules that `python -m gluckknot.cli ARGV` imports, as
     `-X importtime` reports them (the CLI module itself runs as __main__)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -25,11 +25,16 @@ def loaded_modules(*argv):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def loaded_modules(*argv):
+    """The gluckknot modules among `imported_modules(*argv)`."""
+    names = imported_modules(*argv)
     return {name for name in names if name.split(".")[0] == "gluckknot"}
 
 
@@ -52,6 +57,18 @@ def loaded_modules(*argv):
 )
 def test_subcommand_loads_only_what_it_runs(argv, modules):
     assert loaded_modules(*argv) == modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enum", "<x | x^3>"), ("alex", "<x, y | xyxYXY>"), ("family", "1", "2")],
+)
+def test_subcommand_never_imports_dataclasses(argv):
+    # the result records are NamedTuples: dataclasses would also pull in
+    # inspect, ast and dis, some 10 ms a call
+    names = imported_modules(*argv)
+    assert "gluckknot.coset" in names or "gluckknot.fox" in names
+    assert "dataclasses" not in names
 
 
 def test_every_public_name_resolves():

@@ -75,6 +75,24 @@ class TestHandleCounts:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             HandleCounts(1, -1, 0, 0, 1)
+        with pytest.raises(ValueError):
+            HandleCounts(h0=1, h1=1, h2=0, h3=0, h4=-2)
+        with pytest.raises(ValueError):
+            HandleCounts(1, 1, 1, 1, 1)._replace(h2=-1)
+        with pytest.raises(ValueError):
+            HandleCounts._make((1, 1, -1, 1, 1))
+
+    def test_record_semantics(self):
+        c = HandleCounts(1, 2, 2, 2, 1)
+        assert c == HandleCounts(h0=1, h1=2, h2=2, h3=2, h4=1) == (1, 2, 2, 2, 1)
+        assert hash(c) == hash((1, 2, 2, 2, 1))
+        assert repr(c) == "HandleCounts(h0=1, h1=2, h2=2, h3=2, h4=1)"
+        assert str(c) == "(1,2,2,2,1)"
+        assert c._replace(h2=3).euler_characteristic == 1
+        with pytest.raises(AttributeError):
+            c.h0 = 5
+        with pytest.raises(AttributeError):
+            c.extra = 5
 
 
 class TestParity:
@@ -118,6 +136,16 @@ class TestRibbonModel:
                     meridian_generators=("x",),
                 )
             )
+
+    def test_validation_on_replace(self):
+        k = family_knot(0, 0)
+        assert k._replace(label="renamed").label == "renamed"
+        with pytest.raises(InvalidRibbonError):
+            k._replace(lower_bands=0)
+        with pytest.raises(InvalidRibbonError):
+            k._replace(meridian_generators=("z",))
+        with pytest.raises(AttributeError):
+            k.label = "renamed"
 
     def test_generator_count_enforced(self):
         with pytest.raises(InvalidRibbonError):
