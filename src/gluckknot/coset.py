@@ -13,8 +13,8 @@ from typing import NamedTuple, Optional, Sequence
 from .words import Presentation, Word
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
-# table reach; checked before allocating.  At about 21 bytes an entry (84
-# per coset with two generators) the limit is some 350 MB.
+# table reach; checked before allocating.  At about 23 bytes an entry (91
+# per coset with two generators, peak RSS) the limit is some 390 MB.
 MAX_TABLE_ENTRIES = 1 << 24
 
 
@@ -27,19 +27,18 @@ class _TableOverflow(Exception):
 
 
 class CosetTable:
-    """Mutable enumeration state in one flat list of ints: row c occupies
-    table[c * ncols : (c + 1) * ncols], one column per signed generator, and
-    -1 marks an undefined entry.  Dead cosets forward to their replacement
-    union-find style.  Once `coincidence` returns, live rows reference only
-    live cosets, so scans read entries without resolving them."""
+    """Mutable enumeration state, column-major: columns[col][c] is coset c's
+    image under column col (2g for generator g, 2g + 1 for its inverse), -1
+    if undefined.  Dead cosets forward to their replacement union-find style.
+    Once `coincidence` returns, live rows reference only live cosets, so
+    scans read entries without resolving them."""
 
     def __init__(self, ngens: int, max_cosets: int):
-        self.ngens = ngens
-        self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self._blank_row = (-1,) * self.ncols
-        self.table: list[int] = list(self._blank_row)
+        self.columns: list[list[int]] = [[-1] for _ in range(2 * ngens)]
         self.parent: list[int] = [0]
+        # each column with the column of the inverse letter
+        self.pairs = [(c, self.columns[k ^ 1]) for k, c in enumerate(self.columns)]
 
     @staticmethod
     def col(letter: int) -> int:
@@ -48,10 +47,16 @@ class CosetTable:
 
     @classmethod
     def compile(cls, word: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Forward and inverse column sequences of a word.  Scans take them
-        precompiled, so an enumeration compiles each relator once."""
+        """Forward and inverse column numbers of a word's letters."""
         cols = tuple(cls.col(a) for a in word.letters)
         return cols, tuple(c ^ 1 for c in cols)
+
+    def bind(self, word: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """Forward and inverse column lists of a word's letters.  Scans take
+        them bound, so an enumeration binds each relator once."""
+        columns = self.columns
+        cols, back = self.compile(word)
+        return tuple(columns[c] for c in cols), tuple(columns[c] for c in back)
 
     def rep(self, c: int) -> int:
         parent = self.parent
@@ -62,49 +67,36 @@ class CosetTable:
             parent[c], c = root, parent[c]
         return root
 
-    def define(self, c: int, col: int) -> int:
-        d = len(self.parent)
-        if d >= self.max_cosets:
-            raise _TableOverflow
-        n = self.ncols
-        self.parent.append(d)
-        self.table.extend(self._blank_row)
-        self.table[c * n + col] = d
-        self.table[d * n + (col ^ 1)] = c
-        return d
-
     def coincidence(self, a: int, b: int) -> None:
         """Merge the live cosets a and b and every coincidence that follows,
         the larger coset of each pair dying into the smaller (Holt, Eick and
         O'Brien, Handbook of Computational Group Theory, 5.1).  Afterwards
         live rows reference only live cosets."""
-        table, parent, n, rep = self.table, self.parent, self.ncols, self.rep
+        parent, pairs, rep = self.parent, self.pairs, self.rep
         if a == b:
             return
         a, b = min(a, b), max(a, b)
         parent[b] = a
         queue = [b]
         for dead in queue:  # merges append while this loop runs
-            base = dead * n
-            for col in range(n):
-                d = table[base + col]
+            for column, inverse in pairs:
+                d = column[dead]
                 if d < 0:
                     continue
-                inv = col ^ 1
-                table[d * n + inv] = -1
+                inverse[d] = -1
                 # rep(dead) and rep(d), calling rep only past one step
                 mu = parent[dead]
                 if parent[mu] != mu:
                     mu = rep(mu)
                 nu = d if parent[d] == d else rep(d)
-                e = table[mu * n + col]
+                e = column[mu]
                 if e >= 0:
                     x = nu
                 else:
-                    e = table[nu * n + inv]
+                    e = inverse[nu]
                     if e < 0:
-                        table[mu * n + col] = nu
-                        table[nu * n + inv] = mu
+                        column[mu] = nu
+                        inverse[nu] = mu
                         continue
                     x = mu
                 # merge x, a live coset, with e
@@ -116,10 +108,10 @@ class CosetTable:
                     queue.append(e)
 
     def scan_and_fill(
-        self, start: int, words: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+        self, start: int, words: Sequence[tuple[tuple[list[int], ...], ...]]
     ) -> None:
-        """Scan compiled, freely reduced words from the live coset `start`,
-        in order, defining cosets at the first gap of each until it closes or
+        """Scan bound, freely reduced words from the live coset `start`, in
+        order, defining cosets at the first gap of each until it closes or
         deduces; stops early when a coincidence kills `start`.
 
         Defining fills one gap and changes no other entry: the backward scan
@@ -127,13 +119,12 @@ class CosetTable:
         letter, since the new coset's only entry is the inverse of the letter
         that defined it.
         """
-        table, parent, n = self.table, self.parent, self.ncols
-        limit, blank = self.max_cosets, self._blank_row
+        parent, columns, limit = self.parent, self.columns, self.max_cosets
         for cols, back in words:
             length = len(cols)
             f, i = start, 0
             while i < length:
-                d = table[f * n + cols[i]]
+                d = cols[i][f]
                 if d < 0:
                     break
                 f = d
@@ -147,7 +138,7 @@ class CosetTable:
             b, j = start, length - 1
             while True:
                 while j >= i:
-                    d = table[b * n + back[j]]
+                    d = back[j][b]
                     if d < 0:
                         break
                     b = d
@@ -156,43 +147,34 @@ class CosetTable:
                     self.coincidence(f, b)
                     break
                 if j == i:
-                    table[f * n + cols[i]] = b
-                    table[b * n + back[i]] = f
+                    cols[i][f] = b
+                    back[i][b] = f
                     break
                 d = len(parent)
                 if d >= limit:
                     raise _TableOverflow
                 parent.append(d)
-                table.extend(blank)
-                table[f * n + cols[i]] = d
-                table[d * n + back[i]] = f
+                for entries in columns:
+                    entries.append(-1)
+                cols[i][f] = d
+                back[i][d] = f
                 f = d
                 i += 1
             if parent[start] != start:
                 return
 
-    def live_cosets(self) -> list[int]:
-        parent = self.parent
-        return [c for c in range(len(parent)) if parent[c] == c]
-
-    def is_complete(self) -> bool:
-        table, n = self.table, self.ncols
-        return all(-1 not in table[c * n : c * n + n] for c in self.live_cosets())
-
-    def compact(self) -> list[tuple[int, ...]]:
-        """Renumber live cosets 0..n-1 in one pass over their rows.  Requires
-        a complete table: an undefined entry, or one naming a dead coset,
-        raises ValueError."""
-        table, n = self.table, self.ncols
-        live = self.live_cosets()
+    def compact(self) -> Optional[list[tuple[int, ...]]]:
+        """The columns of the live rows, cosets renumbered 0..n-1, or None
+        while an entry of a live row is undefined."""
+        live = [c for c, root in enumerate(self.parent) if root == c]
         # index[-1], an undefined entry, stays -1 like every dead coset
         index = [-1] * (len(self.parent) + 1)
         for k, c in enumerate(live):
             index[c] = k
-        rows = [tuple(map(index.__getitem__, table[c * n : c * n + n])) for c in live]
-        if any(-1 in row for row in rows):
-            raise ValueError("table is not complete")
-        return rows
+        columns = [_gather(index, _gather(column, live)) for column in self.columns]
+        if any(-1 in column for column in columns):
+            return None
+        return columns
 
 
 class EnumerationOutcome(NamedTuple):
@@ -216,12 +198,14 @@ def _replay(
     table: Sequence[Sequence[int]],
     relators: Sequence[Word],
     subgroup: Sequence[Word],
+    columns: Optional[Sequence[Sequence[int]]] = None,
 ) -> None:
     """Every coset closes every relator and every subgroup word fixes coset
     0, checked a column at a time: all cosets go through a relator together,
-    column[c] for each coset c at each letter.  Raises AssertionError
-    otherwise."""
-    columns = list(zip(*table))
+    column[c] for each coset c at each letter (`columns`, when the caller has
+    them, saves transposing `table`).  Raises AssertionError otherwise."""
+    if columns is None:
+        columns = list(zip(*table))
     identity = tuple(range(len(table)))
     for r in relators:
         cols = CosetTable.compile(r)[0]
@@ -233,7 +217,7 @@ def _replay(
     for w in subgroup:
         c = 0
         for col in CosetTable.compile(w)[0]:
-            c = table[c][col]
+            c = columns[col][c]
         if c != 0:
             raise AssertionError("subgroup word moves the base coset")
 
@@ -262,30 +246,38 @@ def enumerate_cosets(
         if w.max_generator() >= p.ngens:
             raise ValueError(f"subgroup word {w!r} uses an unknown generator")
     ct = CosetTable(p.ngens, max_cosets)
-    table, parent, n = ct.table, ct.parent, ct.ncols
-    relators = [ct.compile(r) for r in p.relators]
+    parent, columns, pairs = ct.parent, ct.columns, ct.pairs
+    relators = [ct.bind(r) for r in p.relators]
     scan = ct.scan_and_fill
     try:
-        scan(0, [ct.compile(w) for w in subgroup_words])
-        while True:
+        scan(0, [ct.bind(w) for w in subgroup_words])
+        final = None
+        while final is None:
             # the list iterator also visits cosets defined while it runs
             for alpha, root in enumerate(parent):
                 if root == alpha:
                     scan(alpha, relators)
                     if parent[alpha] == alpha:
-                        base = alpha * n
-                        for col in range(n):
-                            if table[base + col] < 0:
-                                ct.define(alpha, col)
+                        for column, inverse in pairs:
+                            if column[alpha] < 0:
+                                d = len(parent)
+                                if d >= max_cosets:
+                                    raise _TableOverflow
+                                parent.append(d)
+                                for entries in columns:
+                                    entries.append(-1)
+                                column[alpha] = d
+                                inverse[d] = alpha
             # a late coincidence can clear an entry of an earlier live row
-            if ct.is_complete():
-                break
+            final = ct.compact()
     except _TableOverflow:
         return EnumerationOutcome(finite=False, order=None, max_cosets=max_cosets)
-    final = ct.compact()
-    _replay(final, p.relators, subgroup_words)
+    del ct, parent, columns, pairs, relators, scan  # free the table before the rows
+    # with no generators there are no columns, and coset 0 is the only one
+    table = tuple(zip(*final)) or ((),)
+    _replay(table, p.relators, subgroup_words, final)
     return EnumerationOutcome(
-        finite=True, order=len(final), max_cosets=max_cosets, table=tuple(final)
+        finite=True, order=len(table), max_cosets=max_cosets, table=table
     )
 
 

@@ -12,7 +12,7 @@ certified trivial by coset enumeration.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .coset import certify_trivial
 from .fox import AlexanderResult, alexander_polynomial
@@ -253,11 +253,26 @@ def classify(p: int, q: int) -> FamilyClassification:
     )
 
 
+T = TypeVar("T")
+
+
+def _per_parity(
+    pairs: Iterable[tuple[int, int]], compute: Callable[[int, int], T]
+) -> Iterator[tuple[int, int, T]]:
+    """(p, q, compute(p, q)) for each pair, computed once per parity class:
+    the family's invariants depend on (p,q) only through their parities."""
+    by_parity: dict[ParityClass, T] = {}
+    for p, q in pairs:
+        parity = ParityClass.of(p, q)
+        if parity not in by_parity:
+            by_parity[parity] = compute(p, q)
+        yield p, q, by_parity[parity]
+
+
 def distinct(pq: tuple[int, int], rs: tuple[int, int]) -> bool:
     """True when the family members are distinguished by their Alexander
     polynomials (exactly when the unordered parity pairs differ)."""
-    a = classify(*pq).alexander.polynomial
-    b = classify(*rs).alexander.polynomial
+    a, b = (c.alexander.polynomial for _, _, c in _per_parity((pq, rs), classify))
     return not delta_equivalent(a, b)
 
 
@@ -266,14 +281,14 @@ def delta_classes(
 ) -> list[tuple[LaurentPolynomial, list[tuple[int, int]]]]:
     """Partition (p,q) pairs by delta-equivalence of their polynomials."""
     classes: list[tuple[LaurentPolynomial, list[tuple[int, int]]]] = []
-    for pq in pairs:
-        d = classify(*pq).alexander.polynomial
+    for p, q, c in _per_parity(pairs, classify):
+        d = c.alexander.polynomial
         for rep, members in classes:
             if delta_equivalent(d, rep):
-                members.append(pq)
+                members.append((p, q))
                 break
         else:
-            classes.append((d, [pq]))
+            classes.append((d, [(p, q)]))
     return classes
 
 
@@ -311,15 +326,8 @@ def family_record(p: int, q: int, max_cosets: int = 10000) -> dict:
 def family_records(
     pairs: Iterable[tuple[int, int]], max_cosets: int = 10000
 ) -> list[dict]:
-    """`family_record` for each pair.  The invariants depend on (p,q) only
-    through their parities, so each parity class is computed once and its
-    record is copied with p and q replaced (the copies share the nested
-    handle counts)."""
-    by_parity: dict[ParityClass, dict] = {}
-    records = []
-    for p, q in pairs:
-        parity = ParityClass.of(p, q)
-        if parity not in by_parity:
-            by_parity[parity] = family_record(p, q, max_cosets)
-        records.append({**by_parity[parity], "p": p, "q": q})
-    return records
+    """`family_record` for each pair, computed once per parity class and
+    copied with p and q replaced (the copies share the nested handle
+    counts)."""
+    records = _per_parity(pairs, lambda p, q: family_record(p, q, max_cosets))
+    return [{**record, "p": p, "q": q} for p, q, record in records]

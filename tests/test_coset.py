@@ -312,6 +312,7 @@ class TestAgainstSeedTable:
             ("A5", 5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}, 720),
             ("F4", 4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 1152),
             ("A6", 6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}, 5040),
+            ("H4", 4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}, 14400),
         ],
     )
     def test_coxeter(self, name, rank, m, order):
@@ -326,6 +327,14 @@ class TestAgainstSeedTable:
     def test_bound_is_total_cosets_defined(self, max_cosets):
         assert_matches_seed(dihedral(6), (), max_cosets)
 
+    @pytest.mark.parametrize("max_cosets", [2, 3])
+    def test_bound_reached_in_fill_loop(self, max_cosets):
+        # Z/2 as <x, y | Yx, xy>: the scans from coset 0 define coset 1, and
+        # filling coset 0's y entry defines coset 2, the third coset defined
+        p = Presentation.parse("< x, y | Yx, xy >")
+        outcome = assert_matches_seed(p, (), max_cosets)
+        assert outcome.finite == (max_cosets == 3)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(min_value=1, max_value=3).flatmap(
@@ -333,7 +342,7 @@ class TestAgainstSeedTable:
                 st.just(n),
                 st.lists(word_on(n, 8), min_size=1, max_size=3),
                 st.lists(word_on(n, 3), max_size=1),
-                st.sampled_from([50, 200, 400]),
+                st.sampled_from([1, 2, 3, 7, 20, 50, 200, 400]),
             )
         )
     )
@@ -362,10 +371,10 @@ class TestLiveRowsAfterCoincidence:
         def checked(self, a, b):
             coincidence(self, a, b)
             calls.append((a, b))
-            n, parent = self.ncols, self.parent
+            parent = self.parent
             for c in range(len(parent)):
                 if parent[c] == c:
-                    for e in self.table[c * n : c * n + n]:
+                    for e in (column[c] for column in self.columns):
                         assert e < 0 or parent[e] == e, (c, e)
 
         monkeypatch.setattr(CosetTable, "coincidence", checked)

@@ -203,6 +203,28 @@ class TestClassification:
         assert delta_equivalent(a, b)
         assert not distinct((1, 0), (0, 1))
 
+    def test_delta_classes_match_per_pair_oracle(self):
+        pairs = [(p, q) for p in range(-5, 6) for q in range(-5, 6)]
+        # oracle: one classify per pair, each polynomial compared to the
+        # representatives found so far
+        expected = []
+        for pq in pairs:
+            d = classify(*pq).alexander.polynomial
+            for rep, members in expected:
+                if delta_equivalent(d, rep):
+                    members.append(pq)
+                    break
+            else:
+                expected.append((d, [pq]))
+        assert delta_classes(pairs) == expected
+        assert [distinct(pq, (0, 1)) for pq in pairs] == [
+            not delta_equivalent(
+                classify(*pq).alexander.polynomial,
+                classify(0, 1).alexander.polynomial,
+            )
+            for pq in pairs
+        ]
+
     def test_same_parity_same_delta(self):
         assert classify(2, 4).alexander.polynomial == classify(0, 0).alexander.polynomial
         assert not distinct((2, 4), (0, 0))
