@@ -8,6 +8,7 @@ polynomial when the first elementary ideal is principal.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, NamedTuple
@@ -37,15 +38,16 @@ class FoxInternalError(AssertionError):
 MAX_ROW_SUBSETS = 2000
 
 # Most coefficient products that the eliminations may take, as `_minor_work`
-# estimates them from the Alexander matrix before any elimination.  On a
-# 2-core machine a dense 2 x 3 block at the limit (exponent span 2235) takes
-# about 3 s, and Wirtinger T(2,25), estimated at 8.9e6, takes 0.5 s.
+# estimates them before any elimination, and that the gcd of the minors may
+# take, as `_check_fold` estimates them before the gcd.  On a 2-core machine
+# a dense 2 x 3 block at the limit (exponent span 2235) takes about 3 s, and
+# Wirtinger T(2,25), estimated at 8.9e6, takes 0.5 s.
 MAX_MINOR_WORK = 10**7
 
 
 class MinorBoundError(ValueError):
-    """The first elementary ideal needs more than MAX_ROW_SUBSETS eliminations
-    or more than MAX_MINOR_WORK coefficient products."""
+    """The first elementary ideal needs more than MAX_ROW_SUBSETS eliminations,
+    or its minors or their gcd more than MAX_MINOR_WORK coefficient products."""
 
 
 class GroupRingElement:
@@ -190,10 +192,11 @@ class AlexanderMatrix(NamedTuple):
         return len(self.weights)
 
 
-def _fox_row(r: Word, weights: tuple[int, ...]) -> tuple[LaurentPolynomial, ...]:
-    """Abelianized Fox derivatives of one relator in one pass over it: an
-    occurrence of x_g after a prefix of weight e adds t^e, one of x_g^-1
-    subtracts t^(e - w_g) (Crowell-Fox, ch. VII)."""
+def _fox_row(r: Word, weights: tuple[int, ...]) -> list[dict[int, int]]:
+    """Abelianized Fox derivatives of one relator in one pass over it, as
+    sparse maps exponent -> nonzero coefficient: an occurrence of x_g after
+    a prefix of weight e adds t^e, one of x_g^-1 subtracts t^(e - w_g)
+    (Crowell-Fox, ch. VII)."""
     columns: list[dict[int, int]] = [{} for _ in weights]
     e = 0
     for letter in r.letters:
@@ -205,7 +208,7 @@ def _fox_row(r: Word, weights: tuple[int, ...]) -> tuple[LaurentPolynomial, ...]
         else:
             e -= weights[g]
             column[e] = column.get(e, 0) - 1
-    return tuple(LaurentPolynomial(column) for column in columns)
+    return [{e: c for e, c in column.items() if c} for column in columns]
 
 
 def alexander_matrix(
@@ -215,7 +218,9 @@ def alexander_matrix(
     relators; entry (i, j) is `abelianize(fox_derivative(r_i, j), weights)`.
 
     Each row is checked against the abelianized fundamental identity
-    sum_j entry(i,j) * (t^{w_j} - 1) = 0 before returning.
+    sum_j entry(i,j) * (t^{w_j} - 1) = 0, and `_minor_work` (on two
+    generators, whose minors are the entries, also `_check_fold`) against
+    MAX_MINOR_WORK on the sparse rows, before any dense entry is built.
     """
     if weights is None:
         weights = solve_orientation_weights(p)
@@ -223,16 +228,21 @@ def alexander_matrix(
     for r in p.relators:
         r = r.cyclically_reduced()
         row = _fox_row(r, weights)
-        identity_sum = LaurentPolynomial.zero()
-        for g, entry in enumerate(row):
-            factor = LaurentPolynomial([(weights[g], 1), (0, -1)])
-            identity_sum = identity_sum + entry * factor
-        if not identity_sum.is_zero():
+        identity: Counter[int] = Counter()
+        for w, column in zip(weights, row):
+            identity.update({e + w: c for e, c in column.items()})
+            identity.subtract(column)
+        if any(identity.values()):
             raise FoxInternalError(
                 f"abelianized row identity failed for relator {p.word_str(r)}"
             )
         rows.append(row)
-    return AlexanderMatrix(entries=tuple(rows), weights=weights)
+    extents = [[(min(col), max(col)) for col in row if col] for row in rows]
+    _bound(_minor_work(extents, len(weights)), "the Alexander minors need")
+    if len(weights) == 2:
+        _check_fold([hi - lo + 1 for row in extents for lo, hi in row])
+    entries = tuple(tuple(map(LaurentPolynomial, row)) for row in rows)
+    return AlexanderMatrix(entries=entries, weights=weights)
 
 
 class AlexanderResult(NamedTuple):
@@ -246,7 +256,7 @@ def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
     """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count,
     rows before columns in lexicographic order.  With no relators the one
     0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS or
-    MAX_MINOR_WORK."""
+    MAX_MINOR_WORK (see `alexander_matrix`)."""
     _check_row_subsets(p)
     return _minors(alexander_matrix(p))
 
@@ -261,33 +271,49 @@ def _check_row_subsets(p: Presentation) -> None:
         )
 
 
-def _minor_work(matrix: AlexanderMatrix) -> int:
-    """Estimated coefficient products of the first-ideal minors.  Each row
-    subset is an m x (m+1) block, m = generators - 1; step k of its
+def _minor_work(extents: list[list[tuple[int, int]]], cols: int) -> int:
+    """Estimated coefficient products of the first-ideal minors, from the
+    (lowest, highest) exponent of each nonzero entry, one list per row.
+    Each row subset is an m x (m+1) block, m = cols - 1; step k of its
     fraction-free elimination updates (m-k)(m+1-k) entries with products of
     polynomials of about k*S + 1 coefficients, S being the widest exponent
     span of a row.  Back substitution costs about as much again."""
-    m = max(matrix.cols - 1, 0)
-    span = 0
-    for row in matrix.entries:
-        nonzero = [entry for entry in row if entry]
-        if nonzero:
-            top = max(entry.max_exponent for entry in nonzero)
-            span = max(span, top - min(entry.min_exponent for entry in nonzero))
+    m = max(cols - 1, 0)
+    span = max(
+        (max(hi for _, hi in row) - min(lo for lo, _ in row) for row in extents if row),
+        default=0,
+    )
     block = sum((m - k) * (m + 1 - k) * (k * span + 1) ** 2 for k in range(1, m))
-    return comb(matrix.rows, m) * block
+    return comb(len(extents), m) * block
+
+
+def _check_fold(lengths: list[int]) -> None:
+    """Bound the estimated coefficient products of the gcd fold over nonzero
+    minors of these dense lengths, in order, and of dividing each by the gcd.
+    A gcd of lengths a and b takes about a*b (the pseudo-remainder sequence)
+    and is no longer than either; dividing length n by length h takes
+    (n - h + 1) * h, largest at h = min(shortest length, (n + 1) // 2)."""
+    work, least = 0, lengths[0] if lengths else 0
+    for n in lengths[1:]:
+        work += least * n
+        least = min(least, n)
+    for n in lengths:
+        h = min(least, (n + 1) // 2)
+        work += (n - h + 1) * h
+    _bound(work, "the gcd of the Alexander minors needs")
+
+
+def _bound(work: int, need: str) -> None:
+    if work > MAX_MINOR_WORK:
+        raise MinorBoundError(
+            f"{need} an estimated {work} coefficient products, "
+            f"more than the limit of {MAX_MINOR_WORK}"
+        )
 
 
 def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
     """One elimination per row subset gives the minors of all its column
-    subsets; lexicographic column subsets delete the last column first.
-    Raises MinorBoundError past MAX_MINOR_WORK, before any elimination."""
-    work = _minor_work(matrix)
-    if work > MAX_MINOR_WORK:
-        raise MinorBoundError(
-            f"the Alexander minors need an estimated {work} coefficient products, "
-            f"more than the limit of {MAX_MINOR_WORK}"
-        )
+    subsets; lexicographic column subsets delete the last column first."""
     k = matrix.cols - 1
     return [
         minor
@@ -306,7 +332,7 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
     At t = 1 the minors are the (n-1) x (n-1) minors of the exponent matrix,
     which has rank n-1 when H1 has free rank 1, so some minor is nonzero.
     Raises MinorBoundError past MAX_ROW_SUBSETS or MAX_MINOR_WORK, before
-    any elimination.
+    any elimination, and past MAX_MINOR_WORK for the gcd, before the gcd.
     """
     _check_row_subsets(p)
     h1, weights = _abelianization(p)
@@ -314,15 +340,11 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
     nonzero = [m for m in minors if not m.is_zero()]
     if not nonzero:
         raise FoxInternalError("all Alexander minors vanish, yet H1 has free rank 1")
+    _check_fold([len(m.dense) for m in nonzero])
     g = nonzero[0]
     for m in nonzero[1:]:
         g = laurent_gcd(g, m)
     if not all(divides(g, m) for m in minors):
         raise FoxInternalError("gcd fails to divide a minor")
     certified = all(unit_equivalent(m, g) for m in nonzero)
-    return AlexanderResult(
-        polynomial=g.normalize_unit(),
-        certified_principal=certified,
-        weights=weights,
-        h1=h1,
-    )
+    return AlexanderResult(g.normalize_unit(), certified, weights, h1)

@@ -2,34 +2,34 @@
 
 Values of Alexander invariants live here.  Units of Z[t, t^-1] are +-t^k;
 `normalize_unit` fixes the canonical representative with minimal exponent 0
-and positive top coefficient.
+and positive top coefficient.  A polynomial is a dense pair, and the class
+and the Z[t] kernels (gcd, exact division, Bareiss minors) share one set of
+list kernels on its coefficients.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .intmatrix import bareiss, maximal_minors
+from .intmatrix import maximal_minors
 
 
 class LaurentPolynomial:
-    """Finite support map exponent -> integer coefficient; immutable."""
+    """sum_i dense[i] * t^(low + i); `dense` has no zero at either end and
+    is empty for 0, whose `low` is 0.  Immutable."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("low", "dense")
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = coeffs
-        clean: dict[int, int] = {}
+    def __new__(cls, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        acc: dict[int, int] = {}
         for e, c in items:
-            if c:
-                clean[e] = clean.get(e, 0) + c
-                if not clean[e]:
-                    del clean[e]
-        object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
+            acc[e] = acc.get(e, 0) + c
+        support = [e for e, c in acc.items() if c]
+        low, high = min(support, default=0), max(support, default=-1)
+        return _poly(low, [acc.get(e, 0) for e in range(low, high + 1)])
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -40,105 +40,91 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPolynomial":
-        return cls({0: c})
+        return _poly(0, [c])
+
+    @property
+    def coeffs(self) -> Mapping[int, int]:
+        """Read-only map exponent -> nonzero coefficient, ascending."""
+        return MappingProxyType(
+            {e: c for e, c in enumerate(self.dense, self.low) if c}
+        )
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.dense
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.dense)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
+        if not isinstance(other, LaurentPolynomial):
+            return False
+        return self.low == other.low and self.dense == other.dense
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.low, self.dense))
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
+        low = min(self.low, other.low)
+        a = (0,) * (self.low - low) + self.dense
+        return _poly(low, _sub(a, (0,) * (other.low - low) + other.dense, 1))
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
+        return self + -other
+
+    def __neg__(self) -> "LaurentPolynomial":
+        return self.scale(-1)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        return _poly(self.low + other.low, _mul(self.dense, other.dense))
 
     def scale(self, c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: c * v for e, v in self.coeffs.items()})
+        return _poly(self.low, [c * v for v in self.dense])
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
-        return LaurentPolynomial({e + k: c for e, c in self.coeffs.items()})
+        return _poly(self.low + k, self.dense)
 
     @property
     def min_exponent(self) -> int:
-        if not self.coeffs:
+        if not self.dense:
             raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
+        return self.low
 
     @property
     def max_exponent(self) -> int:
-        if not self.coeffs:
+        if not self.dense:
             raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
+        return self.low + len(self.dense) - 1
 
     def content(self) -> int:
         """Gcd of coefficients (non-negative); 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs.values():
-            g = int_gcd(g, abs(c))
-        return g
+        return int_gcd(*self.dense)
 
     def reciprocal(self) -> "LaurentPolynomial":
         """Substitute t -> t^-1 (exponent negation); a ring automorphism."""
-        return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
+        return _poly(1 - self.low - len(self.dense), self.dense[::-1])
 
     def evaluate(self, t0: int) -> int:
         if t0 not in (1, -1):
             raise ValueError("evaluation only supported at t = 1 or t = -1")
-        return sum(c * (t0 ** (e % 2)) for e, c in self.coeffs.items())
+        return sum(c * t0 ** (e % 2) for e, c in enumerate(self.dense, self.low))
 
     def normalize_unit(self) -> "LaurentPolynomial":
         """Canonical unit-class representative: min exponent 0, top coefficient > 0."""
-        if self.is_zero():
+        if not self.dense:
             raise ValueError("cannot unit-normalize the zero polynomial")
-        shifted = self.shift(-self.min_exponent)
-        if shifted.coeffs[shifted.max_exponent] < 0:
-            shifted = -shifted
-        return shifted
+        return _poly(0, self.dense).scale(1 if self.dense[-1] > 0 else -1)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                tpow = "t" if e == 1 else f"t^{e}"
-                body = tpow if mag == 1 else f"{mag}{tpow}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+        text = ""
+        for e, c in reversed(self.coeffs.items()):
+            tpow = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+            mag = "" if abs(c) == 1 and tpow else str(abs(c))
+            text += ("-" if c < 0 else "+") + mag + tpow
+        return text.removeprefix("+") or "0"
 
     def __repr__(self) -> str:
-        return f"LaurentPolynomial({self.coeffs!r})"
+        return f"LaurentPolynomial({dict(self.coeffs)!r})"
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPolynomial":
@@ -146,16 +132,12 @@ class LaurentPolynomial:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
         coeffs: dict[int, int] = {}
         pos = 0
         n = len(s)
         while pos < n:
-            sign = 1
-            if s[pos] in "+-":
-                sign = -1 if s[pos] == "-" else 1
-                pos += 1
+            sign = -1 if s[pos] == "-" else 1
+            pos += s[pos] in "+-"
             start = pos
             while pos < n and s[pos].isdigit():
                 pos += 1
@@ -182,6 +164,19 @@ class LaurentPolynomial:
         return cls(coeffs)
 
 
+def _poly(low: int, cs: Sequence[int]) -> LaurentPolynomial:
+    """sum_i cs[i] t^(low + i), dropping zeros at either end of cs."""
+    start, end = 0, len(cs)
+    while end and not cs[end - 1]:
+        end -= 1
+    while start < end and not cs[start]:
+        start += 1
+    p = object.__new__(LaurentPolynomial)
+    object.__setattr__(p, "low", low + start if end else 0)
+    object.__setattr__(p, "dense", tuple(cs[start:end]))
+    return p
+
+
 def unit_equivalent(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     """True iff a = +-t^k * b for some k."""
     if a.is_zero() or b.is_zero():
@@ -189,10 +184,7 @@ def unit_equivalent(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     return a.normalize_unit() == b.normalize_unit()
 
 
-def _to_coeff_list(a: LaurentPolynomial) -> list[int]:
-    """Dense ascending coefficients of t^-min * a (ordinary polynomial form)."""
-    lo, hi = a.min_exponent, a.max_exponent
-    return [a.coeffs.get(e, 0) for e in range(lo, hi + 1)]
+# Kernels on dense ascending coefficients over Z[t]; [] is zero.
 
 
 def _strip(cs: list[int]) -> list[int]:
@@ -201,18 +193,29 @@ def _strip(cs: list[int]) -> list[int]:
     return cs
 
 
-def _list_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = int_gcd(g, abs(c))
-    return g
+def _primitive(cs: Sequence[int]) -> list[int]:
+    g = int_gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
 
 
-def _primitive(cs: list[int]) -> list[int]:
-    g = _list_content(cs)
-    if g in (0, 1):
-        return list(cs)
-    return [c // g for c in cs]
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _sub(a: Sequence[int], b: Sequence[int], sign: int = -1) -> list[int]:
+    """a - b, or a + b with sign = 1."""
+    out = list(a)
+    out += [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    return _strip(out)
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -230,53 +233,10 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    """Gcd in Z[t, t^-1], unit-normalized.
-
-    Computed as gcd(contents) times the primitive-part gcd found by a
-    primitive pseudo-remainder sequence (Gauss's lemma).
-    """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        return b.normalize_unit()
-    if b.is_zero():
-        return a.normalize_unit()
-    content = int_gcd(a.content(), b.content())
-    u = _primitive(_strip(_to_coeff_list(a)))
-    v = _primitive(_strip(_to_coeff_list(b)))
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        r = _pseudo_rem(u, v)
-        u, v = v, _primitive(r)
-    g = LaurentPolynomial(enumerate(u)).scale(content)
-    return g.normalize_unit()
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of dense ascending integer polynomials; [] is zero."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _strip(out)
-
-
-def _div_exact(num: list[int], den: list[int]) -> Optional[list[int]]:
+def _div_exact(num: Sequence[int], den: Sequence[int]) -> Optional[list[int]]:
     """Quotient q with num = den * q in Z[t], by integer long division from
     the top, or None as soon as a leading coefficient does not divide.
-    Dense ascending coefficients with nonzero top; den is nonzero."""
+    Nonzero top coefficients; den is nonzero."""
     if not num:
         return []
     top = len(num) - len(den)
@@ -298,6 +258,27 @@ def _div_exact(num: list[int], den: list[int]) -> Optional[list[int]]:
     return q
 
 
+def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    """Gcd in Z[t, t^-1], unit-normalized.
+
+    Computed as gcd(contents) times the primitive-part gcd found by a
+    primitive pseudo-remainder sequence (Gauss's lemma).
+    """
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    if a.is_zero():
+        return b.normalize_unit()
+    if b.is_zero():
+        return a.normalize_unit()
+    u, v = _primitive(a.dense), _primitive(b.dense)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        r = _pseudo_rem(u, v)
+        u, v = v, _primitive(r)
+    return _poly(0, u).scale(int_gcd(a.content(), b.content())).normalize_unit()
+
+
 def _bareiss_div(num: list[int], den: list[int]) -> list[int]:
     q = _div_exact(num, den)
     if q is None:
@@ -308,47 +289,28 @@ def _bareiss_div(num: list[int], den: list[int]) -> list[int]:
 
 def _shifted_dense(
     rows: Sequence[Sequence[LaurentPolynomial]],
-) -> tuple[int, list[list[list[int]]]]:
+) -> tuple[int, list[list[tuple[int, ...]]]]:
     """Each row times the power of t that makes its exponents non-negative,
-    as dense coefficient lists over Z[t]; also the total power, by which
-    every maximal minor is shifted."""
+    as dense coefficients over Z[t]; also the total power, by which every
+    maximal minor is shifted."""
     shift = 0
     dense = []
     for row in rows:
-        lo = min((entry.min_exponent for entry in row if entry), default=0)
+        lo = min((entry.low for entry in row if entry), default=0)
         shift += lo
-        dense.append(
-            [
-                [0] * (entry.min_exponent - lo) + _to_coeff_list(entry) if entry else []
-                for entry in row
-            ]
-        )
+        dense.append([(0,) * (e.low - lo) + e.dense if e else () for e in row])
     return shift, dense
-
-
-def _from_dense(cs: list[int], shift: int, sign: int = 1) -> LaurentPolynomial:
-    return LaurentPolynomial((e + shift, sign * c) for e, c in enumerate(cs))
-
-
-def laurent_determinant(
-    rows: Sequence[Sequence[LaurentPolynomial]],
-) -> LaurentPolynomial:
-    """Determinant of a square matrix over Z[t, t^-1]: Bareiss elimination
-    over Z[t] on the shifted rows (`_shifted_dense`), shifted back."""
-    shift, dense = _shifted_dense(rows)
-    det, negated = bareiss(dense, _mul, _sub, _bareiss_div, [1])
-    return _from_dense(det, shift, -1 if negated else 1)
 
 
 def laurent_maximal_minors(
     rows: Sequence[Sequence[LaurentPolynomial]],
 ) -> list[LaurentPolynomial]:
     """All maximal minors of an m x (m+1) matrix over Z[t, t^-1] from one
-    elimination over Z[t] (`intmatrix.maximal_minors`); entry j is the minor
-    with column j deleted.  Rows are shifted as for `laurent_determinant`."""
+    elimination over Z[t] (`intmatrix.maximal_minors`) on the shifted rows
+    (`_shifted_dense`); entry j is the minor with column j deleted."""
     shift, dense = _shifted_dense(rows)
     return [
-        _from_dense(minor, shift)
+        _poly(shift, minor)
         for minor in maximal_minors(dense, _mul, _sub, _bareiss_div, [1])
     ]
 
@@ -359,12 +321,8 @@ def divide_exact(
     """Quotient q with b = a * q over Z[t, t^-1], or None when a does not divide b."""
     if a.is_zero():
         raise ValueError("division by the zero polynomial")
-    if b.is_zero():
-        return LaurentPolynomial.zero()
-    q = _div_exact(_to_coeff_list(b), _to_coeff_list(a))
-    if q is None:
-        return None
-    return LaurentPolynomial(enumerate(q)).shift(b.min_exponent - a.min_exponent)
+    q = _div_exact(b.dense, a.dense)
+    return None if q is None else _poly(b.low - a.low, q)
 
 
 def divides(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:

@@ -71,13 +71,11 @@ class ParityClass(enum.Enum):
     @classmethod
     def of(cls, p: int, q: int) -> "ParityClass":
         # mathematical parity: negative integers reduce mod 2 as usual
-        table = {
-            (0, 0): cls.EVEN_EVEN,
-            (1, 1): cls.ODD_ODD,
-            (1, 0): cls.ODD_EVEN,
-            (0, 1): cls.EVEN_ODD,
-        }
-        return table[(p % 2, q % 2)]
+        return _PARITY[p % 2, q % 2]
+
+
+# (p % 2, q % 2) -> parity class, in the order the members are declared
+_PARITY = dict(zip([(0, 0), (1, 1), (1, 0), (0, 1)], ParityClass))
 
 
 def complement_handle_counts(m: int, n: int) -> HandleCounts:

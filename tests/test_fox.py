@@ -1,5 +1,6 @@
 import contextlib
 import io
+import operator
 import random
 import time
 from itertools import combinations
@@ -26,8 +27,8 @@ from gluckknot.fox import (
     fundamental_identity_check,
     solve_orientation_weights,
 )
-from gluckknot.intmatrix import IntMatrix, cokernel
-from gluckknot.laurent import LaurentPolynomial, laurent_determinant, unit_equivalent
+from gluckknot.intmatrix import IntMatrix, bareiss, cokernel
+from gluckknot.laurent import LaurentPolynomial, divide_exact, unit_equivalent
 from gluckknot.words import Presentation, Word, parse_word
 
 L = LaurentPolynomial.parse
@@ -242,6 +243,20 @@ def laplace_determinant(rows):
     return total
 
 
+def laurent_determinant(rows):
+    """Oracle: fraction-free Bareiss elimination on the polynomial objects
+    themselves, dividing exactly over Z[t, t^-1]; shares no row-shifting
+    code with the minors it checks."""
+    det, negated = bareiss(
+        rows,
+        operator.mul,
+        operator.sub,
+        lambda num, den: divide_exact(den, num),
+        LaurentPolynomial.constant(1),
+    )
+    return -det if negated else det
+
+
 small_poly_st = st.dictionaries(
     st.integers(min_value=-3, max_value=3),
     st.integers(min_value=-4, max_value=4),
@@ -428,6 +443,80 @@ def test_minor_work_bound_above_limit(monkeypatch):
         alexander_polynomial(chain3(e))
     with pytest.raises(MinorBoundError, match=message):
         first_ideal_minors(chain3(e))
+
+
+def torus_pair(n):
+    """<x, y | x^n Y^(n-1)>, the torus knot T(n, n-1): weights (n-1, n), so
+    the two entries, which are the minors, have (n-1)^2 + 1 and n(n-2) + 1
+    coefficients, and Delta has (n-1)(n-2) + 1."""
+    return Presentation.parse(f"<x, y | x^{n} Y^{n - 1}>")
+
+
+def test_gcd_bound_at_limit_on_two_generators():
+    # lengths 2501 and 2500: 2501 * 2500 for the gcd and 1251 * 1251 +
+    # 1251 * 1250 for the divisions, 9381251 in all; the last n admitted
+    n = 51
+    t = LaurentPolynomial.constant(1).shift(1)
+    one = LaurentPolynomial.constant(1)
+    expected = divide_exact(
+        (t.shift(n - 1) - one) * (t.shift(n - 2) - one),
+        (t.shift(n * (n - 1) - 1) - one) * (t - one),
+    )
+    result = alexander_polynomial(torus_pair(n))
+    assert unit_equivalent(result.polynomial, expected)
+    assert len(result.polynomial.dense) == (n - 1) * (n - 2) + 1
+    assert len(first_ideal_minors(torus_pair(n))) == 2
+
+
+def test_gcd_bound_above_limit_on_two_generators(monkeypatch):
+    # lengths 2602 and 2601: 2602 * 2601 + 1302 * 1301 + 1301 * 1301; the
+    # entries are the minors, so the sparse rows are refused before any
+    # dense entry is built
+    monkeypatch.setattr(fox, "LaurentPolynomial", None)  # never reached
+    message = "the gcd of the Alexander minors needs an estimated 10154305 coefficient"
+    with pytest.raises(MinorBoundError, match=message):
+        alexander_polynomial(torus_pair(52))
+    with pytest.raises(MinorBoundError, match=message):
+        first_ideal_minors(torus_pair(52))
+
+
+def test_gcd_bound_at_limit_on_three_generators():
+    # chain3(e) has three minors +-a^2, a = 1 + ... + t^(e-1), of length
+    # L = 2e - 1: 2 L^2 for the gcd and 3 e^2 for the divisions, 11e^2 - 8e + 2
+    # = 9982677 for e = 953
+    e = 953
+    a = LaurentPolynomial({k: 1 for k in range(e)})
+    result = alexander_polynomial(chain3(e))
+    assert result.polynomial == a * a and result.certified_principal
+
+
+def test_gcd_bound_above_limit_on_three_generators(monkeypatch):
+    # 10003646 for e = 954; the minors themselves are admitted
+    monkeypatch.setattr(fox, "laurent_gcd", None)  # never reached
+    with pytest.raises(MinorBoundError, match="estimated 10003646 coefficient products"):
+        alexander_polynomial(chain3(954))
+    assert len(first_ideal_minors(chain3(954))) == 3
+
+
+@pytest.mark.parametrize(
+    "text,refusal",
+    [
+        ("<x,y | x^299 Y^298>", "the gcd of the Alexander minors needs"),
+        ("<x,y | x^999 Y^998>", "the gcd of the Alexander minors needs"),
+        ("<x,y | x^4999 Y^5000>", "the gcd of the Alexander minors needs"),
+        ("<x,y,z | x^3000 Y^2999, y^3000 Z^2999>", "the Alexander minors need"),
+    ],
+)
+def test_wide_entries_refused_quickly(text, refusal):
+    # the entries span up to 2.7e10 exponents, so densifying them first
+    # would exhaust memory
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", text])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: {refusal} an estimated")
 
 
 @pytest.mark.parametrize(

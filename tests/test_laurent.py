@@ -1,4 +1,6 @@
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -205,3 +207,125 @@ class TestIntegerDivision:
         # every leading step divides, but t^2+t+1 = (t+1) t + 1
         assert divide_exact(L("t+1"), L("t^2+t+1")) is None
 
+
+
+class DictLaurent:
+    """Oracle: the sorted-dict representation that the dense pair replaced,
+    exponent -> nonzero coefficient, with its own dict arithmetic."""
+
+    def __init__(self, items=()):
+        clean = {}
+        for e, c in items.items() if isinstance(items, dict) else items:
+            clean[e] = clean.get(e, 0) + c
+        self.coeffs = dict(sorted((e, c) for e, c in clean.items() if c))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return DictLaurent(out)
+
+    def __neg__(self):
+        return DictLaurent({e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return DictLaurent(
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.coeffs.items()
+            for e2, c2 in other.coeffs.items()
+        )
+
+    def scale(self, c):
+        return DictLaurent({e: c * v for e, v in self.coeffs.items()})
+
+    def shift(self, k):
+        return DictLaurent({e + k: c for e, c in self.coeffs.items()})
+
+    def reciprocal(self):
+        return DictLaurent({-e: c for e, c in self.coeffs.items()})
+
+    def evaluate(self, t0):
+        return sum(c * t0 ** (e % 2) for e, c in self.coeffs.items())
+
+    def content(self):
+        g = 0
+        for c in self.coeffs.values():
+            g = gcd(g, abs(c))
+        return g
+
+    def normalize_unit(self):
+        shifted = self.shift(-min(self.coeffs))
+        return -shifted if shifted.coeffs[max(shifted.coeffs)] < 0 else shifted
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        text = ""
+        for e in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[e]
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                tpow = "t" if e == 1 else f"t^{e}"
+                body = tpow if mag == 1 else f"{mag}{tpow}"
+            text += ("-" if c < 0 else "+") + body
+        return text[1:] if text[0] == "+" else text
+
+
+def same(p, oracle):
+    return list(p.coeffs.items()) == list(oracle.coeffs.items())
+
+
+class TestAgainstDictOracle:
+    coeffs_st = st.dictionaries(
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=-9, max_value=9),
+        max_size=7,
+    )
+
+    @given(coeffs_st, coeffs_st, st.integers(-4, 4), st.integers(-7, 7))
+    def test_every_operation(self, ca, cb, c, k):
+        a, b = LaurentPolynomial(ca), LaurentPolynomial(cb)
+        oa, ob = DictLaurent(ca), DictLaurent(cb)
+        assert same(a, oa) and same(b, ob)
+        assert isinstance(a.coeffs, Mapping)
+        with pytest.raises(TypeError):
+            a.coeffs[0] = 1
+        assert same(a + b, oa + ob)
+        assert same(a - b, oa - ob)
+        assert same(-a, -oa)
+        assert same(a * b, oa * ob)
+        assert same(a.scale(c), oa.scale(c))
+        assert same(a.shift(k), oa.shift(k))
+        assert same(a.reciprocal(), oa.reciprocal())
+        assert a.evaluate(1) == oa.evaluate(1)
+        assert a.evaluate(-1) == oa.evaluate(-1)
+        assert a.content() == oa.content()
+        assert str(a) == str(oa)
+        assert LaurentPolynomial.parse(str(a)) == a
+        assert repr(a) == f"LaurentPolynomial({oa.coeffs!r})"
+        assert bool(a) == bool(oa.coeffs) == (not a.is_zero())
+        assert (a == b) == (oa.coeffs == ob.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert LaurentPolynomial(list(ca.items()) + [(k, c), (k, -c)]) == a
+        if oa.coeffs:
+            assert same(a.normalize_unit(), oa.normalize_unit())
+            assert a.min_exponent == min(oa.coeffs)
+            assert a.max_exponent == max(oa.coeffs)
+
+    @given(coeffs_st, st.integers(-7, 7))
+    def test_equal_values_hash_equal(self, ca, k):
+        a = LaurentPolynomial(ca)
+        b = LaurentPolynomial(ca).shift(k).shift(-k)
+        assert a == b and hash(a) == hash(b)
+        assert a != DictLaurent(ca)
+
+    def test_constants(self):
+        assert same(LaurentPolynomial.zero(), DictLaurent())
+        assert same(LaurentPolynomial.constant(-3), DictLaurent({0: -3}))
+        assert same(LaurentPolynomial.constant(0), DictLaurent())
