@@ -71,6 +71,9 @@ class GroupRingElement:
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
 
+    def __reduce__(self):  # copy and pickle: the slots cannot be set afterwards
+        return GroupRingElement, (self.terms,)
+
     @classmethod
     def zero(cls) -> "GroupRingElement":
         return cls()

@@ -34,6 +34,9 @@ class LaurentPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
+    def __reduce__(self):  # copy and pickle: the slots cannot be set afterwards
+        return _poly, (self.low, self.dense)
+
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()

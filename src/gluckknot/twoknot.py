@@ -259,9 +259,10 @@ def _per_parity(
 ) -> Iterator[tuple[int, int, T]]:
     """(p, q, compute(p, q)) for each pair, computed once per parity class:
     the family's invariants depend on (p,q) only through their parities."""
-    by_parity: dict[ParityClass, T] = {}
+    # keyed on (p % 2, q % 2), not on ParityClass: Enum.__hash__ runs in Python
+    by_parity: dict[tuple[int, int], T] = {}
     for p, q in pairs:
-        parity = ParityClass.of(p, q)
+        parity = p % 2, q % 2
         if parity not in by_parity:
             by_parity[parity] = compute(p, q)
         yield p, q, by_parity[parity]

@@ -50,6 +50,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):  # copy and pickle: the slots cannot be set afterwards
+        return Word, (self.letters,)
+
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
@@ -188,6 +191,9 @@ class Presentation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
+
+    def __reduce__(self):  # copy and pickle: the slots cannot be set afterwards
+        return Presentation, (self.generators, self.relators)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gluckknot import __version__, cli
+from gluckknot import __version__, cli, twoknot
 from gluckknot.cli import MAX_GRID_RECORDS, main
 from gluckknot.coset import MAX_TABLE_ENTRIES, certify_trivial
 from gluckknot.fox import alexander_polynomial
@@ -17,6 +17,7 @@ from gluckknot.twoknot import (
     ParityClass,
     family_knot,
     family_presentation,
+    family_record,
     gluck_handle_counts,
     gluck_quotient,
     spun_obstruction,
@@ -196,6 +197,129 @@ class TestFamily:
     def test_missing_args(self, capsys):
         code, _, _ = run(capsys, "family")
         assert code == 1
+
+
+def family_row(record):
+    """Oracle: the per-record TSV renderer the CLI used before it rendered
+    each parity class once."""
+    flat = dict(record)
+    hc = flat.pop("handle_counts")
+    for key in ("complement", "gluck_single", "gluck_double"):
+        flat[f"handle_counts_{key}"] = ",".join(str(h) for h in hc[key])
+    return [str(flat[c]) for c in cli._FAMILY_COLUMNS]
+
+
+def family_stdout(pairs, mode):
+    """Oracle: the lines of `family` stdout, with every record computed and
+    rendered on its own, one `family_record` and one JSON encoding or row
+    per pair.  Compared line by line: a diff of two long strings takes
+    pytest minutes."""
+    records = [family_record(p, q) for p, q in pairs]
+    if mode == "--json":
+        reports = (cli._report("family", record) for record in records)
+        return [json.dumps(r, sort_keys=True) + "\n" for r in reports]
+    if mode == "--tsv" or len(records) > 1:
+        rows = [cli._FAMILY_COLUMNS, *map(family_row, records)]
+        return ["\t".join(row) + "\n" for row in rows]
+    (record,) = records
+    lines = [f"{key}: {record[key]}\n" for key in cli._FAMILY_COLUMNS[:9]]
+    lines += [
+        f"handle_counts.{key}: ({','.join(str(h) for h in counts)})\n"
+        for key, counts in record["handle_counts"].items()
+    ]
+    return lines
+
+
+BIG = 10**30
+
+
+class TestFamilyStdoutOracle:
+    """`family` renders each parity class once and splices p and q into
+    it; stdout must match the per-record renderers byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["--json", "--tsv", None])
+    @pytest.mark.parametrize(
+        "p_range,q_range",
+        [
+            (range(0, 1), range(0, 1)),  # one parity class
+            (range(0, 1), range(-3, 4)),  # two
+            (range(-20, 21), range(-20, 21)),  # four
+            (range(-35, 35), range(0, 70)),  # past one 4096-line write
+            (range(BIG - 2, BIG + 2), range(-BIG - 1, -BIG + 2)),
+        ],
+    )
+    def test_grid(self, capsys, mode, p_range, q_range):
+        grid = [f"{r.start}..{r.stop - 1}" for r in (p_range, q_range)]
+        flags = [mode] if mode else []
+        code, out, err = run(capsys, "family", "--grid", *grid, *flags)
+        pairs = [(p, q) for p in p_range for q in q_range]
+        assert (code, err) == (0, "")
+        assert out.splitlines(True) == family_stdout(pairs, mode)
+
+    @pytest.mark.parametrize("mode", ["--json", "--tsv", None])
+    @pytest.mark.parametrize("p,q", [(0, 0), (3, -4), (-BIG - 1, BIG)])
+    def test_single_record(self, capsys, mode, p, q):
+        flags = [mode] if mode else []
+        code, out, err = run(capsys, "family", str(p), str(q), *flags)
+        assert (code, err) == (0, "")
+        assert out.splitlines(True) == family_stdout([(p, q)], mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(-(10**18), 10**18),
+        st.integers(0, 5),
+        st.integers(-(10**18), 10**18),
+        st.integers(0, 5),
+        st.sampled_from(["--json", "--tsv"]),
+    )
+    def test_random_windows(self, p0, p_len, q0, q_len, mode):
+        p_range, q_range = range(p0, p0 + p_len + 1), range(q0, q0 + q_len + 1)
+        grid = [f"{r.start}..{r.stop - 1}" for r in (p_range, q_range)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["family", "--grid", *grid, mode]) == 0
+        pairs = [(p, q) for p in p_range for q in q_range]
+        assert out.getvalue().splitlines(True) == family_stdout(pairs, mode)
+
+
+class TestFamilyRendersEachParityClassOnce:
+    GRID = ("family", "--grid", "-20..20", "-20..20")
+
+    def test_json_encodes_once_per_class(self, capsys, monkeypatch):
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        code, out, _ = run(capsys, *self.GRID, "--json")
+        assert code == 0 and out.count("\n") == 41 * 41
+        assert 1 <= len(calls) <= 4
+
+    def test_tsv_builds_one_row_tail_per_class(self, capsys, monkeypatch):
+        # each row tail formats the record's three handle-count lists
+        iterations = []
+
+        class Counts(list):
+            def __iter__(self):
+                iterations.append(self)
+                return super().__iter__()
+
+        family_records = twoknot.family_records
+
+        def counted(*args):
+            records = family_records(*args)
+            for record in records:
+                hc = record["handle_counts"]
+                record["handle_counts"] = {k: Counts(v) for k, v in hc.items()}
+            return records
+
+        monkeypatch.setattr(twoknot, "family_records", counted)
+        code, out, _ = run(capsys, *self.GRID, "--tsv")
+        assert code == 0 and out.count("\n") == 41 * 41 + 1
+        assert 1 <= len(iterations) <= 4 * 3
 
 
 class TestGluck:

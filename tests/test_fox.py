@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import operator
+import pickle
 import random
 import time
 from itertools import combinations
@@ -215,6 +217,25 @@ class TestAlexanderPolynomial:
             d = alexander_polynomial(p).polynomial
             flipped_entry = m2.entries[0][0]
             assert unit_equivalent(flipped_entry, d.reciprocal())
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_copy_and_pickle(copier):
+    # the immutable classes refuse setattr, through which the default
+    # reduction would restore their slots
+    p = pres(OO)
+    result = alexander_polynomial(p)
+    values = [result, result.polynomial, L("3-t^-2"), LaurentPolynomial.zero(), p]
+    values += [p.relators[0], fox_derivative(p.relators[0], 1), GroupRingElement()]
+    for value in values:
+        twin = copier(value)
+        assert type(twin) is type(value) and twin == value
+        if type(value).__hash__ is not None:  # GroupRingElement is unhashable
+            assert hash(twin) == hash(value)
 
 
 def test_fundamental_identity_bulk_seeded():

@@ -33,9 +33,22 @@ def imported_modules(*argv):
 
 
 def loaded_modules(*argv):
-    """The gluckknot modules among `imported_modules(*argv)`."""
+    """The gluckknot modules and `json` among `imported_modules(*argv)`."""
     names = imported_modules(*argv)
-    return {name for name in names if name.split(".")[0] == "gluckknot"}
+    return {n for n in names if n == "json" or n.split(".")[0] == "gluckknot"}
+
+
+# with no bytecode cache each module compiles from source on every call,
+# some 3 ms apiece
+EVERY_MODULE = {
+    "gluckknot",
+    "gluckknot.words",
+    "gluckknot.coset",
+    "gluckknot.intmatrix",
+    "gluckknot.laurent",
+    "gluckknot.fox",
+    "gluckknot.twoknot",
+}
 
 
 @pytest.mark.parametrize(
@@ -53,6 +66,10 @@ def loaded_modules(*argv):
                 "gluckknot.fox",
             },
         ),
+        (("family", "1", "2"), EVERY_MODULE),
+        (("family", "1", "2", "--tsv"), EVERY_MODULE),
+        (("family", "--grid", "0..1", "0..1"), EVERY_MODULE),
+        (("family", "--grid", "0..1", "0..1", "--json"), EVERY_MODULE | {"json"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, modules):
