@@ -14,9 +14,9 @@ from typing import Sequence
 from . import __version__
 
 # Each subcommand imports the library modules it runs, so `--version` loads
-# none and `enum` only words and coset.  Each converts the library errors
-# that user input can cause into UsageError (exit 1) or PreconditionError
-# (exit 2) where it calls the library.
+# none and `enum` only words, intmatrix and coset.  Each converts the library
+# errors that user input can cause into UsageError (exit 1) or
+# PreconditionError (exit 2) where it calls the library.
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -2,7 +2,10 @@
 
 Certifies finite subgroup index -- in particular group order 1 for the
 quotient presentations arising from Gluck blow-downs.  An Exceeded outcome
-is inconclusive, never a refutation.
+is inconclusive, never a refutation.  When the abelianized quotient of the
+group by the subgroup is infinite, as for every knot group and the trivial
+subgroup, the index is proved infinite and `exceeded` comes back at once,
+without a table; it is still reported as `exceeded`, like any overflow.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
+from .intmatrix import rank
 from .words import Presentation, Word
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
@@ -234,6 +238,13 @@ def enumerate_cosets(
     Every finite outcome is replayed against the relators before returning.
     Raises TableBudgetError, a ValueError, when max_cosets could fill more
     than MAX_TABLE_ENTRIES.
+
+    The group maps onto Z^ngens modulo the exponent sums of the relators and
+    the subgroup words, and the map kills the subgroup, so the index is at
+    least that quotient's order (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 5).  When those rows have rank below
+    ngens the index is infinite, no table can close, and the outcome is the
+    overflow one, returned without building a table.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -245,6 +256,9 @@ def enumerate_cosets(
     for w in subgroup_words:
         if w.max_generator() >= p.ngens:
             raise ValueError(f"subgroup word {w!r} uses an unknown generator")
+    sums = p.exponent_matrix() + [w.exponent_sums(p.ngens) for w in subgroup_words]
+    if rank(sums) < p.ngens:
+        return EnumerationOutcome(finite=False, order=None, max_cosets=max_cosets)
     ct = CosetTable(p.ngens, max_cosets)
     parent, columns, pairs = ct.parent, ct.columns, ct.pairs
     relators = [ct.bind(r) for r in p.relators]

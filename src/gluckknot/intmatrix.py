@@ -169,6 +169,14 @@ def maximal_minors(
     return minors
 
 
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix given as equal-length rows, the
+    number of pivots of one fraction-free elimination (`_echelon`).  It
+    costs O(rows * cols * rank) operations on integers no wider than the
+    minors, and builds no rows x rows transform."""
+    return len(_echelon(rows, operator.mul, operator.sub, operator.floordiv, 1)[1])
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact integer determinant by Bareiss elimination."""
     if m.rows != m.cols:

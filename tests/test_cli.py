@@ -467,6 +467,22 @@ class TestCosetBudget:
         code, _, _ = run(capsys, "family", "1", "2", "--max-cosets", str(10**15))
         assert code == 0
 
+    def test_knot_group_exceeds_at_once(self, capsys):
+        # H1 = Z proves the index infinite: no table at a bound that would
+        # take seconds and hundreds of MB to overflow
+        code, out, err = run(capsys, "enum", EE, "--max-cosets", "4000000")
+        assert code == 0 and err == ""
+        assert out == "input: < x, y | xyxYXyxyXY >\nexceeded: 4000000\n"
+        code, out, _ = run(capsys, "enum", EE, "--max-cosets", "4000000", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["finite"] is False and payload["order"] is None
+
+    def test_budget_checked_before_the_abelianization(self, capsys):
+        # 5000000 cosets times 4 columns is past the budget, infinite or not
+        code, out, err = run(capsys, "enum", "<x,y|xyXY>", "--max-cosets", "5000000")
+        assert code == 1 and out == ""
+        assert f"{MAX_TABLE_ENTRIES} table entries" in err
+
 
 
 FUZZ_WORDS = (

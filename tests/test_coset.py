@@ -10,6 +10,7 @@ from gluckknot.coset import (
     certify_trivial,
     enumerate_cosets,
 )
+from gluckknot.twoknot import family_presentation
 from gluckknot.words import Presentation, Word
 
 
@@ -23,6 +24,10 @@ def dihedral(n):
 
 
 QUATERNION_8 = Presentation.parse("< x, y | x^4, x^2Y^2, Yxyx >")
+
+# the (2,3,7) triangle group: infinite, with H1 = 0, so only the enumeration
+# can find its index infinite; it overflows after 133 coincidences at 2000
+TRIANGLE_237 = Presentation.parse("< a, b | a^2, b^3, ababababababab >")
 
 
 def word_on(ngens, max_size):
@@ -304,17 +309,17 @@ def assert_matches_seed(p, subgroup, max_cosets):
     return outcome
 
 
+COXETER_CORPUS = [
+    ("A4", 4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 120),
+    ("A5", 5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}, 720),
+    ("F4", 4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 1152),
+    ("A6", 6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}, 5040),
+    ("H4", 4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}, 14400),
+]
+
+
 class TestAgainstSeedTable:
-    @pytest.mark.parametrize(
-        "name,rank,m,order",
-        [
-            ("A4", 4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 120),
-            ("A5", 5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}, 720),
-            ("F4", 4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 1152),
-            ("A6", 6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}, 5040),
-            ("H4", 4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}, 14400),
-        ],
-    )
+    @pytest.mark.parametrize("name,rank,m,order", COXETER_CORPUS)
     def test_coxeter(self, name, rank, m, order):
         outcome = assert_matches_seed(coxeter(rank, m), (), 60000)
         assert outcome.order == order
@@ -322,6 +327,10 @@ class TestAgainstSeedTable:
     def test_overflowing_z2(self):
         p = Presentation.parse("< x, y | xyXY >")
         assert not assert_matches_seed(p, (), 2000).finite
+
+    @pytest.mark.parametrize("max_cosets", [2000, 60000])
+    def test_overflowing_triangle_group(self, max_cosets):
+        assert not assert_matches_seed(TRIANGLE_237, (), max_cosets).finite
 
     @pytest.mark.parametrize("max_cosets", [1, 2, 5, 11, 12, 13])
     def test_bound_is_total_cosets_defined(self, max_cosets):
@@ -362,7 +371,7 @@ class TestLiveRowsAfterCoincidence:
 
     @pytest.mark.parametrize(
         "p,max_cosets",
-        [(A5, 60000), (F4, 60000), (Presentation.parse("< x, y | xyXY >"), 2000)],
+        [(A5, 60000), (F4, 60000), (TRIANGLE_237, 2000)],
     )
     def test_no_live_row_references_a_dead_coset(self, monkeypatch, p, max_cosets):
         calls = []
@@ -380,6 +389,63 @@ class TestLiveRowsAfterCoincidence:
         monkeypatch.setattr(CosetTable, "coincidence", checked)
         enumerate_cosets(p, (), max_cosets)
         assert calls
+
+
+Z2 = Presentation.parse("< x, y | xyXY >")
+
+
+class TestAbelianShortcut:
+    """An infinite abelianized quotient proves the index infinite, so the
+    overflow outcome comes back before any coset table is built."""
+
+    @pytest.mark.parametrize("max_cosets", [1, 2000, 10**6])
+    @pytest.mark.parametrize(
+        "p,subgroup",
+        [
+            (Z2, ()),
+            (Presentation.parse("< x | >"), ()),
+            (family_presentation(0, 0), ()),
+            (family_presentation(0, 1), ()),
+            (family_presentation(1, 0), ()),
+            (family_presentation(1, 1), ()),
+            (Z2, ("x",)),
+        ],
+    )
+    def test_overflow_without_a_table(self, monkeypatch, p, subgroup, max_cosets):
+        def refuse(self, ngens, max_cosets):
+            raise AssertionError("a coset table was built")
+
+        monkeypatch.setattr(CosetTable, "__init__", refuse)
+        words = [p.word(w) for w in subgroup]
+        outcome = enumerate_cosets(p, words, max_cosets)
+        assert outcome == (False, None, max_cosets, None)
+
+    @pytest.mark.parametrize(
+        "p,subgroup",
+        [(Presentation.parse("< | >"), ()), (Z2, ("x", "y")), (TRIANGLE_237, ())]
+        + [(dihedral(n), ()) for n in range(1, 7)]
+        + [(dihedral(6), ("x",)), (QUATERNION_8, ())]
+        + [(coxeter(rank, m), ()) for _, rank, m, _ in COXETER_CORPUS],
+    )
+    def test_finite_quotient_builds_the_table(self, monkeypatch, p, subgroup):
+        built = []
+        init = CosetTable.__init__
+
+        def counted(self, ngens, max_cosets):
+            built.append(ngens)
+            init(self, ngens, max_cosets)
+
+        monkeypatch.setattr(CosetTable, "__init__", counted)
+        enumerate_cosets(p, [p.word(w) for w in subgroup], 60000)
+        assert built == [p.ngens]
+
+    def test_checks_before_the_shortcut(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_cosets(Z2, (), 0)
+        with pytest.raises(TableBudgetError):
+            enumerate_cosets(Z2, (), MAX_TABLE_ENTRIES)
+        with pytest.raises(ValueError, match="unknown generator"):
+            enumerate_cosets(Z2, [Word([3])], 10)
 
 
 def trace_replay(table, relators, subgroup):

@@ -14,6 +14,7 @@ from gluckknot.intmatrix import (
     kernel_basis,
     maximal_minors,
     primitive_vector,
+    rank,
     smith_normal_form,
 )
 
@@ -201,3 +202,40 @@ def test_maximal_minors_rank_and_swaps():
     # the non-pivot column comes first; a zero pivot forces a swap
     assert minors([[0, 1, 2], [0, 3, 4]]) == [-2, 0, 0]
     assert minors([[0, 1, 0], [1, 0, 0]]) == [0, 0, -1]
+
+
+# rows with small entries, some of them zero rows, for any shape up to 6 x 5
+# (no rows, or rows with no columns, included)
+matrix_st = st.tuples(
+    st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=5)
+).flatmap(
+    lambda shape: st.lists(
+        st.one_of(
+            st.just([0] * shape[1]),
+            st.lists(
+                st.integers(min_value=-4, max_value=4),
+                min_size=shape[1],
+                max_size=shape[1],
+            ),
+        ),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: (rows, shape[1]))
+)
+
+
+@given(matrix_st)
+def test_rank_matches_smith_form(case):
+    rows, cols = case
+    # oracle: the Smith form's nonzero diagonal entries
+    expected = sum(1 for d in smith_normal_form(IntMatrix(rows, cols=cols)).diagonal if d)
+    assert rank(rows) == expected
+
+
+def test_rank_edge_shapes():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[0, 0], [0, 3]]) == 1
+    assert rank([[1, 1], [1, -1]]) == 2  # full rank over Q, index 2 over Z
+    assert rank([(1, -1), [2, -2]]) == 1  # tuples and lists alike

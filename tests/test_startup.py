@@ -51,11 +51,21 @@ EVERY_MODULE = {
 }
 
 
+# coset runs the abelianization check of intmatrix before any table
+ENUM_MODULES = {
+    "gluckknot",
+    "gluckknot.words",
+    "gluckknot.intmatrix",
+    "gluckknot.coset",
+}
+
+
 @pytest.mark.parametrize(
     "argv,modules",
     [
         (("--version",), {"gluckknot"}),
-        (("enum", "<x | x^3>"), {"gluckknot", "gluckknot.words", "gluckknot.coset"}),
+        (("enum", "<x | x^3>"), ENUM_MODULES),
+        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), ENUM_MODULES),
         (
             ("alex", "<x, y | xyxYXY>"),
             {
