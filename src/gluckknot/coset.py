@@ -309,6 +309,8 @@ def certify_trivial(p: Presentation, max_cosets: int = 10000) -> TrivialityCerti
 
     A trivial verdict is a proof; an inconclusive one is not a refutation
     (though a finite order > 1, when found, is attached as evidence).
+    Where `simplify` reaches < | >, as for every K2(p,q) quotient, the replay
+    of the one-coset table checks nothing and the verdict rests on `simplify`.
     """
     simplified = p.simplify()
     outcome = enumerate_cosets(simplified, (), max_cosets)

@@ -5,8 +5,8 @@ A ribbon 2-knot in normal form with m lower and n upper bands has a
 complement handle decomposition with counts (1, m+1, m+n, n+1, 1); the
 Gluck twist trades handles so that the closed result has Euler
 characteristic 2.  At the group level the twist kills the meridian of a
-dotted circle, and for the K2(p,q) family the resulting quotients are
-certified trivial by coset enumeration.
+dotted circle.  Each K2(p,q) quotient simplifies to < | > before any coset
+table is built, so its trivial verdict rests on `kill_generator` and `simplify`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .coset import certify_trivial
 from .fox import AlexanderResult, alexander_polynomial
 from .intmatrix import AbelianGroup, IntMatrix, cokernel
 from .laurent import LaurentPolynomial, unit_equivalent
-from .words import Presentation, PresentationError, Word
+from .words import Presentation, PresentationError, Word, parse_word
 
 
 class InvalidRibbonError(ValueError):
@@ -190,8 +190,6 @@ _FAMILY_RELATORS = {
 
 def family_relator(p: int, q: int) -> Word:
     """The knot-group relator of K2(p,q); depends only on the parities."""
-    from .words import parse_word
-
     return parse_word(_FAMILY_RELATORS[ParityClass.of(p, q)], _FAMILY_GENERATORS)
 
 
@@ -254,7 +252,7 @@ def classify(p: int, q: int) -> FamilyClassification:
 T = TypeVar("T")
 
 
-def _per_parity(
+def per_parity(
     pairs: Iterable[tuple[int, int]], compute: Callable[[int, int], T]
 ) -> Iterator[tuple[int, int, T]]:
     """(p, q, compute(p, q)) for each pair, computed once per parity class:
@@ -271,7 +269,7 @@ def _per_parity(
 def distinct(pq: tuple[int, int], rs: tuple[int, int]) -> bool:
     """True when the family members are distinguished by their Alexander
     polynomials (exactly when the unordered parity pairs differ)."""
-    a, b = (c.alexander.polynomial for _, _, c in _per_parity((pq, rs), classify))
+    a, b = (c.alexander.polynomial for _, _, c in per_parity((pq, rs), classify))
     return not delta_equivalent(a, b)
 
 
@@ -280,7 +278,7 @@ def delta_classes(
 ) -> list[tuple[LaurentPolynomial, list[tuple[int, int]]]]:
     """Partition (p,q) pairs by delta-equivalence of their polynomials."""
     classes: list[tuple[LaurentPolynomial, list[tuple[int, int]]]] = []
-    for p, q, c in _per_parity(pairs, classify):
+    for p, q, c in per_parity(pairs, classify):
         d = c.alexander.polynomial
         for rep, members in classes:
             if delta_equivalent(d, rep):
@@ -321,12 +319,3 @@ def family_record(p: int, q: int, max_cosets: int = 10000) -> dict:
         "spun_obstruction": spun_obstruction(alexander.polynomial).value,
     }
 
-
-def family_records(
-    pairs: Iterable[tuple[int, int]], max_cosets: int = 10000
-) -> list[dict]:
-    """`family_record` for each pair, computed once per parity class and
-    copied with p and q replaced (the copies share the nested handle
-    counts)."""
-    records = _per_parity(pairs, lambda p, q: family_record(p, q, max_cosets))
-    return [{**record, "p": p, "q": q} for p, q, record in records]

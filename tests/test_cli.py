@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import event, given, settings
@@ -307,19 +308,70 @@ class TestFamilyRendersEachParityClassOnce:
                 iterations.append(self)
                 return super().__iter__()
 
-        family_records = twoknot.family_records
+        original = twoknot.family_record
 
         def counted(*args):
-            records = family_records(*args)
-            for record in records:
-                hc = record["handle_counts"]
-                record["handle_counts"] = {k: Counts(v) for k, v in hc.items()}
-            return records
+            record = original(*args)
+            hc = record["handle_counts"]
+            record["handle_counts"] = {k: Counts(v) for k, v in hc.items()}
+            return record
 
-        monkeypatch.setattr(twoknot, "family_records", counted)
+        monkeypatch.setattr(twoknot, "family_record", counted)
         code, out, _ = run(capsys, *self.GRID, "--tsv")
         assert code == 0 and out.count("\n") == 41 * 41 + 1
         assert 1 <= len(iterations) <= 4 * 3
+
+    @staticmethod
+    def count_records(monkeypatch) -> list:
+        """The (p, q) of every `family_record` call from here on."""
+        calls = []
+        original = twoknot.family_record
+
+        def counted(p, q, *rest):
+            calls.append((p, q))
+            return original(p, q, *rest)
+
+        monkeypatch.setattr(twoknot, "family_record", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["--json", "--tsv", None])
+    def test_grid_makes_one_record_per_class(self, capsys, monkeypatch, mode):
+        calls = self.count_records(monkeypatch)
+        code, out, _ = run(capsys, *self.GRID, *([mode] if mode else []))
+        header = mode != "--json"
+        assert code == 0 and out.count("\n") == 41 * 41 + header
+        assert 1 <= len(calls) <= 4
+
+    @pytest.mark.parametrize("mode", ["--json", "--tsv", None])
+    def test_single_pair_makes_one_record(self, capsys, monkeypatch, mode):
+        calls = self.count_records(monkeypatch)
+        code, _, _ = run(capsys, "family", "3", "-4", *([mode] if mode else []))
+        assert code == 0 and calls == [(3, -4)]
+
+
+class _LineCounter(io.TextIOBase):
+    """A stdout that counts the lines written to it and keeps none."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+class TestFamilyStreams:
+    def test_grid_memory_does_not_grow_with_the_grid(self):
+        # a list of the 40000 records, as dicts sharing their values, passes 8 MB
+        sink = _LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["family", "--grid", "0..199", "0..199", "--json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (0, 200 * 200)
+        assert peak < 8 * 2**20
 
 
 class TestGluck:
