@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Mapping, NamedTuple
 
 from .intmatrix import AbelianGroup, IntMatrix, primitive_vector, smith_normal_form
 from .laurent import (
     LaurentPolynomial,
+    divide_exact,
     divides,
     laurent_gcd,
     laurent_maximal_minors,
+    pseudo_quotient,
     unit_equivalent,
 )
 from .words import Presentation, Word
@@ -38,10 +40,11 @@ class FoxInternalError(AssertionError):
 MAX_ROW_SUBSETS = 2000
 
 # Most coefficient products that the eliminations may take, as `_minor_work`
-# estimates them before any elimination, and that the gcd of the minors may
-# take, as `_check_fold` estimates them before the gcd.  On a 2-core machine
-# a dense 2 x 3 block at the limit (exponent span 2235) takes about 3 s, and
-# Wirtinger T(2,25), estimated at 8.9e6, takes 0.5 s.
+# estimates them before the row-subset eliminations and `_check_fold` before
+# the gcd of their minors, and as `_eliminate` counts them while it runs.  On
+# a 2-core machine a dense 2 x 3 block at the limit (exponent span 2235) takes
+# about 3 s, and Wirtinger T(2,17) with every letter squared (H1 = Z +
+# (Z/2)^16, so no elimination), estimated at 6.8e6, takes 0.5 s.
 MAX_MINOR_WORK = 10**7
 
 
@@ -147,7 +150,8 @@ def fundamental_identity_check(w: Word, ngens: int) -> bool:
 def _abelianization(p: Presentation) -> tuple[AbelianGroup, tuple[int, ...]]:
     """H1 and the orientation weights, both from one Smith normal form of
     the relator exponent matrix; requires free rank exactly 1."""
-    snf = smith_normal_form(IntMatrix(p.exponent_matrix(), cols=p.ngens))
+    exponents = IntMatrix(p.exponent_matrix(), cols=p.ngens)
+    snf = smith_normal_form(exponents, with_left=False)
     h1 = snf.cokernel()
     if h1.rank != 1:
         raise OrientationError(
@@ -214,19 +218,9 @@ def _fox_row(r: Word, weights: tuple[int, ...]) -> list[dict[int, int]]:
     return [{e: c for e, c in column.items() if c} for column in columns]
 
 
-def alexander_matrix(
-    p: Presentation, weights: tuple[int, ...] | None = None
-) -> AlexanderMatrix:
-    """Matrix of abelianized Fox derivatives of the cyclically reduced
-    relators; entry (i, j) is `abelianize(fox_derivative(r_i, j), weights)`.
-
-    Each row is checked against the abelianized fundamental identity
-    sum_j entry(i,j) * (t^{w_j} - 1) = 0, and `_minor_work` (on two
-    generators, whose minors are the entries, also `_check_fold`) against
-    MAX_MINOR_WORK on the sparse rows, before any dense entry is built.
-    """
-    if weights is None:
-        weights = solve_orientation_weights(p)
+def _fox_rows(p: Presentation, weights: tuple[int, ...]) -> list[list[dict[int, int]]]:
+    """`_fox_row` of each cyclically reduced relator, checked against the
+    abelianized fundamental identity sum_j entry(i,j) * (t^{w_j} - 1) = 0."""
     rows = []
     for r in p.relators:
         r = r.cyclically_reduced()
@@ -240,6 +234,22 @@ def alexander_matrix(
                 f"abelianized row identity failed for relator {p.word_str(r)}"
             )
         rows.append(row)
+    return rows
+
+
+def alexander_matrix(
+    p: Presentation, weights: tuple[int, ...] | None = None
+) -> AlexanderMatrix:
+    """Matrix of abelianized Fox derivatives of the cyclically reduced
+    relators; entry (i, j) is `abelianize(fox_derivative(r_i, j), weights)`.
+
+    Each row is checked by `_fox_rows`, and `_minor_work` (on two
+    generators, whose minors are the entries, also `_check_fold`) against
+    MAX_MINOR_WORK on the sparse rows, before any dense entry is built.
+    """
+    if weights is None:
+        weights = solve_orientation_weights(p)
+    rows = _fox_rows(p, weights)
     extents = [[(min(col), max(col)) for col in row if col] for row in rows]
     _bound(_minor_work(extents, len(weights)), "the Alexander minors need")
     if len(weights) == 2:
@@ -325,20 +335,97 @@ def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
     ]
 
 
+def _eliminate(rows: list[list[dict[int, int]]]) -> tuple[LaurentPolynomial, bool]:
+    """Delta from one echelon form over Q[t] of these sparse rows, and
+    whether each row step was invertible over Z[t, t^-1].
+
+    In each column the live row whose entry spans the fewest powers of t
+    (the first on ties) is the pivot; each other live row becomes c * row -
+    q * pivot (`pseudo_quotient`) over its content.  Over Q[t, t^-1] the
+    ideal of maximal minors is kept and generated by the pivot product,
+    whose primitive part is Delta.  With every c and content 1 it is kept
+    over Z[t, t^-1], which proves E1 = (Delta).  Coefficients built and
+    multiplied count against MAX_MINOR_WORK as they run."""
+    need = "the elimination of the Alexander matrix needs"
+    work = sum(max(col) - min(col) + 1 for row in rows for col in row if col)
+    _bound(work, need)
+    todo = [list(map(LaurentPolynomial, row)) for row in rows]
+    product, exact = LaurentPolynomial.constant(1), True
+    for _ in range(len(todo[0]) if todo else 0):
+        live = [i for i, row in enumerate(todo) if row[0]]
+        while len(live) > 1:
+            pivot = todo[min(live, key=lambda i: len(todo[i][0].dense))]
+            for i in live:
+                row = todo[i]
+                if row is pivot:
+                    continue
+                span = len(row[0].dense) - len(pivot[0].dense) + 1  # of q, at most
+                work += sum(
+                    len(x.dense) + span * len(y.dense) for x, y in zip(row, pivot)
+                )
+                _bound(work, need)
+                c, q = pseudo_quotient(row[0], pivot[0])
+                row = row if c == 1 else [x.scale(c) for x in row]
+                row = [x - q * y if y else x for x, y in zip(row, pivot)]
+                content = gcd(*(x.content() for x in row))
+                if content > 1:
+                    divisor = LaurentPolynomial.constant(content)
+                    row = [divide_exact(divisor, x) for x in row]
+                todo[i], exact = row, exact and c == 1 and content < 2
+            live = [i for i in live if todo[i][0]]
+        if not live:
+            raise FoxInternalError("the Alexander matrix has rank below n - 1")
+        pivot = todo.pop(live[0])[0]
+        work += len(product.dense) * len(pivot.dense)
+        _bound(work, need)
+        product = product * pivot
+        todo = [row[1:] for row in todo]
+    delta = divide_exact(LaurentPolynomial.constant(product.content()), product)
+    return delta.normalize_unit(), exact
+
+
+def _one_minor_certifies(
+    p: Presentation, weights: tuple[int, ...], delta: LaurentPolynomial
+) -> bool:
+    """Whether some first-ideal minor is a unit multiple of delta, row
+    subsets in order; False past the bounds of `first_ideal_minors`."""
+    try:
+        _check_row_subsets(p)
+        matrix = alexander_matrix(p, weights)
+    except MinorBoundError:
+        return False
+    return any(
+        unit_equivalent(m, delta)
+        for rows in combinations(matrix.entries, matrix.cols - 1)
+        for m in laurent_maximal_minors(rows)
+    )
+
+
 def alexander_polynomial(p: Presentation) -> AlexanderResult:
-    """Gcd of the first-elementary-ideal minors, unit-normalized.
+    """Delta, the unit-normalized gcd of the first-elementary-ideal minors,
+    and whether E1 = (Delta) is certified: by `_eliminate`, or because some
+    minor is a unit multiple of Delta, which puts Delta in E1.
 
-    The result is certified principal only when every nonzero minor is a unit
-    multiple of the gcd (so the ideal visibly equals the gcd's principal
-    ideal); otherwise the gcd is reported without a principality claim.
-
-    At t = 1 the minors are the (n-1) x (n-1) minors of the exponent matrix,
-    which has rank n-1 when H1 has free rank 1, so some minor is nonzero.
-    Raises MinorBoundError past MAX_ROW_SUBSETS or MAX_MINOR_WORK, before
-    any elimination, and past MAX_MINOR_WORK for the gcd, before the gcd.
+    When H1 = Z and a weight w_k is +-1 (the first such k), the minors
+    without column k generate E1 (fundamental formula, Crowell-Fox ch. VII),
+    so `_eliminate` without that column gives Delta (or raises
+    MinorBoundError once past MAX_MINOR_WORK); Delta(1) = +-1 is checked,
+    and the minors are consulted only when needed and only within the
+    bounds of `first_ideal_minors`.  Any other input takes the gcd of all
+    minors, some nonzero as the exponent matrix has rank n-1, and raises
+    MinorBoundError past MAX_ROW_SUBSETS or MAX_MINOR_WORK, before any
+    elimination, and past MAX_MINOR_WORK for the gcd, before the gcd.
     """
-    _check_row_subsets(p)
     h1, weights = _abelianization(p)
+    k = next((j for j, w in enumerate(weights) if w in (1, -1)), None)
+    if k is not None and not h1.torsion:
+        rows = [row[:k] + row[k + 1 :] for row in _fox_rows(p, weights)]
+        delta, certified = _eliminate(rows)
+        if delta.evaluate(1) not in (1, -1):
+            raise FoxInternalError(f"Delta(1) = {delta.evaluate(1)}, yet H1 = Z")
+        certified = certified or _one_minor_certifies(p, weights, delta)
+        return AlexanderResult(delta, certified, weights, h1)
+    _check_row_subsets(p)
     minors = _minors(alexander_matrix(p, weights))
     nonzero = [m for m in minors if not m.is_zero()]
     if not nonzero:
@@ -349,5 +436,5 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
         g = laurent_gcd(g, m)
     if not all(divides(g, m) for m in minors):
         raise FoxInternalError("gcd fails to divide a minor")
-    certified = all(unit_equivalent(m, g) for m in nonzero)
+    certified = any(unit_equivalent(m, g) for m in nonzero)
     return AlexanderResult(g.normalize_unit(), certified, weights, h1)

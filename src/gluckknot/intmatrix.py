@@ -217,14 +217,16 @@ class SmithForm(NamedTuple):
         ]
 
 
-def smith_normal_form(a: IntMatrix) -> SmithForm:
+def smith_normal_form(a: IntMatrix, with_left: bool = True) -> SmithForm:
     """Smith normal form with transforms.
 
     Pivot rule: smallest nonzero absolute value in the working submatrix,
     rows scanned before columns, lowest index wins ties.  Deterministic.
+    With `with_left` false the left transform, rows x rows, is not kept: it
+    comes back rows x 0, and memory stays O(rows x cols).
     """
     m = a.copy()
-    left = IntMatrix.identity(a.rows)
+    left = IntMatrix.identity(a.rows) if with_left else IntMatrix.zero(a.rows, 0)
     right = IntMatrix.identity(a.cols)
     size = min(a.rows, a.cols)
 
@@ -331,13 +333,13 @@ class AbelianGroup(NamedTuple):
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """Cokernel of a relator-by-generator exponent matrix."""
-    return smith_normal_form(a).cokernel()
+    return smith_normal_form(a, with_left=False).cokernel()
 
 
 def kernel_basis(a: IntMatrix) -> list[list[int]]:
     """Integer kernel basis vectors (columns of the right transform with
     zero image)."""
-    return smith_normal_form(a).kernel_basis()
+    return smith_normal_form(a, with_left=False).kernel_basis()
 
 
 def primitive_vector(v: Sequence[int]) -> list[int]:

@@ -9,9 +9,10 @@ list kernels on its coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd as int_gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .intmatrix import maximal_minors
 
@@ -29,7 +30,7 @@ class LaurentPolynomial:
             acc[e] = acc.get(e, 0) + c
         support = [e for e, c in acc.items() if c]
         low, high = min(support, default=0), max(support, default=-1)
-        return _poly(low, [acc.get(e, 0) for e in range(low, high + 1)])
+        return _poly(low, tuple(acc.get(e, 0) for e in range(low, high + 1)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -221,19 +222,25 @@ def _sub(a: Sequence[int], b: Sequence[int], sign: int = -1) -> list[int]:
     return _strip(out)
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of dense ascending integer polynomials, deg a >= deg b."""
-    a = _strip(list(a))
-    lead = b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        la = a[-1]
-        if lead != 1:
-            a = [c * lead for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-        a = _strip(a)
-    return a
+def _pseudo_divmod(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
+    """c > 0, q and r with c * a = q * b + r over Z[t] and deg r < deg b, b
+    nonzero.  Each step scales by lead(b) / gcd(lead(b), lead(r)) only, so c = 1 when
+    lead(b) divides every leading coefficient met."""
+    r, lead = _strip(list(a)), b[-1]
+    c, q = 1, [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        g = int_gcd(lead, r[-1]) if lead > 0 else -int_gcd(lead, r[-1])
+        u, v = lead // g, r[-1] // g
+        if u != 1:
+            c, q, r = c * u, [x * u for x in q], [x * u for x in r]
+        shift = len(r) - len(b)
+        q[shift] = v
+        for i, bc in enumerate(b, shift):
+            r[i] -= v * bc
+        r = _strip(r)
+    return c, q, r
 
 
 def _div_exact(num: Sequence[int], den: Sequence[int]) -> Optional[list[int]]:
@@ -274,11 +281,8 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial
     if b.is_zero():
         return a.normalize_unit()
     u, v = _primitive(a.dense), _primitive(b.dense)
-    if len(u) < len(v):
-        u, v = v, u
     while v:
-        r = _pseudo_rem(u, v)
-        u, v = v, _primitive(r)
+        u, v = v, _primitive(_pseudo_divmod(u, v)[2])
     return _poly(0, u).scale(int_gcd(a.content(), b.content())).normalize_unit()
 
 
@@ -330,3 +334,12 @@ def divide_exact(
 
 def divides(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     return divide_exact(a, b) is not None
+
+
+def pseudo_quotient(
+    a: LaurentPolynomial, b: LaurentPolynomial
+) -> tuple[int, LaurentPolynomial]:
+    """c > 0 and q with c * a - q * b spanning fewer powers of t than the
+    nonzero b (`_pseudo_divmod`)."""
+    c, q, _ = _pseudo_divmod(a.dense, b.dense)
+    return c, _poly(a.low - b.low, q)

@@ -61,6 +61,24 @@ class TestAlex:
         assert payload["seed"] == 0
         assert payload["tool_version"]
 
+    @pytest.mark.parametrize(
+        "text,label",
+        [
+            # some minor is a unit multiple of Delta = 1; gcd-only before
+            # the one-minor rule
+            ("< a, b, c, d | d, DADbb, c, cdC >", "certified"),
+            # H1 = Z + Z/2: the minors 2 and t - 1, neither a unit
+            ("<x, y | yy, xyXY>", "gcd-only"),
+        ],
+    )
+    def test_principal_label(self, capsys, text, label):
+        code, out, _ = run(capsys, "alex", text)
+        assert code == 0
+        assert "delta: 1\n" in out and f"principal: {label}\n" in out
+        code, out, _ = run(capsys, "alex", text, "--json")
+        assert code == 0
+        assert json.loads(out)["delta_principal"] is (label == "certified")
+
     def test_parse_error_exit_one(self, capsys):
         code, _, err = run(capsys, "alex", "<x,y | xz>")
         assert code == 1

@@ -20,6 +20,9 @@ from gluckknot.fox import (
     GroupRingElement,
     MinorBoundError,
     OrientationError,
+    _abelianization,
+    _eliminate,
+    _fox_rows,
     _minors,
     abelianize,
     alexander_matrix,
@@ -30,7 +33,12 @@ from gluckknot.fox import (
     solve_orientation_weights,
 )
 from gluckknot.intmatrix import IntMatrix, bareiss, cokernel
-from gluckknot.laurent import LaurentPolynomial, divide_exact, unit_equivalent
+from gluckknot.laurent import (
+    LaurentPolynomial,
+    divide_exact,
+    laurent_gcd,
+    unit_equivalent,
+)
 from gluckknot.words import Presentation, Word, parse_word
 
 L = LaurentPolynomial.parse
@@ -396,18 +404,19 @@ def test_fox_rows_match_derivative_oracle(word, wy, wz):
 
 
 def test_torus_knot_25_from_words():
-    # beyond the 26-letter text grammar; T(2,25) takes 25 eliminations
+    # beyond the 26-letter text grammar; Delta comes from one elimination
     result = alexander_polynomial(wirtinger_torus(25))
     assert result.certified_principal
     expected = LaurentPolynomial({k: (-1) ** k for k in range(25)})
     assert unit_equivalent(result.polynomial, expected)
 
 
-def relators_around_limit(extra):
-    """<x, y | y, xyXY, ...> with MAX_ROW_SUBSETS + extra relators: one row
-    subset per relator, and H1 = Z."""
+def relators_around_limit(extra, first="y"):
+    """<x, y | FIRST, xyXY, ...> with MAX_ROW_SUBSETS + extra relators: one
+    row subset per relator.  With FIRST = y, H1 = Z and x has weight 1; with
+    FIRST = yy, H1 = Z + Z/2."""
     return Presentation.parse(
-        "<x, y | y, " + ", ".join(["xyXY"] * (MAX_ROW_SUBSETS - 1 + extra)) + ">"
+        f"<x, y | {first}, " + ", ".join(["xyXY"] * (MAX_ROW_SUBSETS - 1 + extra)) + ">"
     )
 
 
@@ -418,18 +427,26 @@ def test_row_subset_bound_at_limit():
 
 
 def test_row_subset_bound_above_limit():
+    # the minors are refused; Delta, from one elimination of the y column
+    # (x has weight 1), is not, and the elimination certifies it
+    message = f"the Alexander matrix has {MAX_ROW_SUBSETS + 1} row subsets"
     p = relators_around_limit(1)
-    with pytest.raises(MinorBoundError, match=str(MAX_ROW_SUBSETS)):
+    with pytest.raises(MinorBoundError, match=message):
         first_ideal_minors(p)
-    with pytest.raises(MinorBoundError):
+    result = alexander_polynomial(p)
+    assert result.polynomial == LaurentPolynomial.constant(1)
+    assert result.certified_principal
+    # with H1 = Z + Z/2 the input stays on the row-subset path and is refused
+    p = relators_around_limit(1, first="yy")
+    with pytest.raises(MinorBoundError, match=message):
+        first_ideal_minors(p)
+    with pytest.raises(MinorBoundError, match=message):
         alexander_polynomial(p)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["alex", str(p)])
     assert code == 2 and out.getvalue() == ""
-    assert err.getvalue().startswith(
-        f"error: the Alexander matrix has {MAX_ROW_SUBSETS + 1} row subsets"
-    )
+    assert err.getvalue().startswith(f"error: {message}")
 
 
 def chain3(e):
@@ -606,3 +623,174 @@ def test_alexander_total_on_small_presentations(text):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["alex", text, "--json"])
     assert code == (2 if result is None else 0), err.getvalue()
+
+
+def row_subset_oracle(p):
+    """Delta as the gcd of every first-ideal minor, with the labels of the
+    all-minors rule (every nonzero minor a unit multiple of the gcd) and of
+    the one-minor rule (some nonzero minor one)."""
+    nonzero = [m for m in first_ideal_minors(p) if m]
+    g = nonzero[0]
+    for m in nonzero[1:]:
+        g = laurent_gcd(g, m)
+    every = all(unit_equivalent(m, g) for m in nonzero)
+    return g.normalize_unit(), every, any(unit_equivalent(m, g) for m in nonzero)
+
+
+def gcd_mod(polys, prime):
+    """Monic gcd over GF(prime)[t, t^-1] of Laurent polynomials, as ascending
+    coefficients with no power of t; [] when all vanish mod prime."""
+
+    def reduce(f):
+        f = [c % prime for c in f]
+        while f and not f[-1]:
+            f.pop()
+        while f and not f[0]:
+            f.pop(0)
+        return f
+
+    g = []
+    for f in polys:
+        a, b = reduce(f.dense), g
+        while b:
+            inverse = pow(b[-1], -1, prime)
+            while len(a) >= len(b):
+                k, shift = a[-1] * inverse, len(a) - len(b)
+                a = reduce(a[:shift] + [x - k * y for x, y in zip(a[shift:], b)])
+            a, b = b, a
+        g = [c * pow(a[-1], -1, prime) for c in a] if a else a
+    return [c % prime for c in g]
+
+
+def unit_weight_elimination(p):
+    """`_eliminate` on the matrix without the first column of weight +-1, or
+    None when H1 has torsion or no weight is +-1."""
+    h1, weights = _abelianization(p)
+    units = [j for j, w in enumerate(weights) if w in (1, -1)]
+    if h1.torsion or not units:
+        return None
+    k = units[0]
+    return _eliminate([row[:k] + row[k + 1 :] for row in _fox_rows(p, weights)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentation_text_st())
+def test_alexander_matches_row_subset_oracle(text):
+    """Delta equals the gcd of all minors.  The label certifies everything
+    the one-minor rule certifies, which certifies everything the all-minors
+    rule does; a certificate beyond the one-minor rule comes from an
+    elimination invertible over Z[t, t^-1]."""
+    p = Presentation.parse(text)
+    try:
+        result = alexander_polynomial(p)
+    except OrientationError:
+        return
+    delta, every, one = row_subset_oracle(p)
+    assert result.polynomial == delta
+    assert one or not every
+    elimination = unit_weight_elimination(p)
+    if elimination is None:
+        assert result.certified_principal == one
+    else:
+        assert elimination[0] == delta
+        assert result.certified_principal == (one or elimination[1])
+    if result.certified_principal:
+        # E1 = (Delta) survives reduction mod each prime
+        for prime in (2, 3, 5):
+            minors = first_ideal_minors(p)
+            assert gcd_mod(minors, prime) == gcd_mod([delta], prime)
+
+
+def test_one_minor_rule_certifies():
+    # four nonzero minors, two of them unit multiples of Delta = 1: the
+    # all-minors rule left this gcd-only
+    p = Presentation.parse("< a, b, c, d | d, DADbb, c, cdC >")
+    nonzero = [m for m in first_ideal_minors(p) if m]
+    assert nonzero == [L("-t^-2"), L("t^-1+t^-2"), L("-t^-2"), L("t^-1+t^-2")]
+    assert row_subset_oracle(p) == (LaurentPolynomial.constant(1), False, True)
+    result = alexander_polynomial(p)
+    assert result.polynomial == LaurentPolynomial.constant(1)
+    assert result.certified_principal
+
+
+def test_torsion_input_stays_gcd_only():
+    # H1 = Z + Z/2: the minors 2 and t - 1 have gcd 1, and neither is a unit
+    p = Presentation.parse("<x, y | yy, xyXY>")
+    assert [m for m in first_ideal_minors(p) if m] == [L("2"), L("t-1")]
+    result = alexander_polynomial(p)
+    assert result.polynomial == LaurentPolynomial.constant(1)
+    assert not result.certified_principal
+
+
+@pytest.mark.parametrize(
+    "text,nonzero,prime,reduced",
+    [
+        # b has weight 1; the elimination scales a row by 3
+        ("<a, b | AAA, bbaaBBA>", ["-3", "2t^2-1"], 3, [1, 0, 1]),
+        # c has weight 1; every row step has c = 1, one divides by a content
+        ("<a, b, c | BBaAA, BACbcbba, CcbA>", ["-1-t^-1", "-3", "1+t^-1"], 3, [1, 1]),
+    ],
+)
+def test_non_principal_ideal_stays_gcd_only(text, nonzero, prime, reduced):
+    # H1 = Z and Delta = 1, yet E1 is not principal: mod the prime the gcd
+    # of the minors is not a unit, so nothing may certify Delta
+    p = Presentation.parse(text)
+    minors = first_ideal_minors(p)
+    assert [m for m in minors if m] == list(map(L, nonzero))
+    assert gcd_mod(minors, prime) == reduced
+    assert unit_weight_elimination(p) == (LaurentPolynomial.constant(1), False)
+    result = alexander_polynomial(p)
+    assert result.polynomial == LaurentPolynomial.constant(1)
+    assert not result.certified_principal
+
+
+@pytest.mark.parametrize("n", range(13, 64, 2))
+def test_torus_knots_beyond_the_minors(n):
+    # T(2,27) and up were refused while Delta came from the minors
+    result = alexander_polynomial(wirtinger_torus(n))
+    assert result.polynomial == LaurentPolynomial({k: (-1) ** k for k in range(n)})
+    assert result.certified_principal
+    assert unit_weight_elimination(wirtinger_torus(n))[1]
+
+
+def bound_pair(n):
+    """<x, y, z | y z x^n Z X^n, z x y x^n y X^(n+1) Y>: weights (1, 0, 0),
+    H1 = Z.  Without the x column the rows are (1, 1 - t^n) and (q, 1), q =
+    t^(n+1) + t - 1; the elimination builds 4n + 10 coefficients, takes
+    (n + 2)(n + 1) products for its one row step, and 1 + (2n + 2) for the
+    pivot product: n^2 + 9n + 15 in all."""
+    return Presentation.parse(
+        f"<x, y, z | y z x^{n} Z X^{n}, z x y x^{n} y X^{n + 1} Y>"
+    )
+
+
+def test_elimination_bound_at_limit(monkeypatch):
+    n = 3157  # 9995077 products; 3158 would take 10001401
+    monkeypatch.setattr(fox, "laurent_maximal_minors", None)  # never reached
+    result = alexander_polynomial(bound_pair(n))
+    assert result.polynomial == L(f"t^{2 * n + 1}-t^{n}-t+2")
+    assert result.certified_principal
+
+
+def test_elimination_bound_above_limit(monkeypatch):
+    steps = []
+
+    def spy(a, b):
+        steps.append(a)
+        return fox_pseudo_quotient(a, b)
+
+    fox_pseudo_quotient = fox.pseudo_quotient
+    monkeypatch.setattr(fox, "pseudo_quotient", spy)
+    monkeypatch.setattr(fox, "laurent_maximal_minors", None)  # never reached
+    message = (
+        "the elimination of the Alexander matrix needs an estimated 10001401 "
+        f"coefficient products, more than the limit of {MAX_MINOR_WORK}"
+    )
+    with pytest.raises(MinorBoundError, match=message):
+        alexander_polynomial(bound_pair(3158))
+    assert len(steps) == 1  # refused mid-run, after the row step
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", str(bound_pair(3158))])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"

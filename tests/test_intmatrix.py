@@ -239,3 +239,13 @@ def test_rank_edge_shapes():
     assert rank([[0, 0], [0, 3]]) == 1
     assert rank([[1, 1], [1, -1]]) == 2  # full rank over Q, index 2 over Z
     assert rank([(1, -1), [2, -2]]) == 1  # tuples and lists alike
+
+
+@given(matrix_st)
+def test_smith_form_without_left_transform(case):
+    # the same diagonal and right transform, and no rows x rows matrix
+    rows, cols = case
+    a = IntMatrix(rows, cols=cols)
+    full, lean = smith_normal_form(a), smith_normal_form(a, with_left=False)
+    assert (lean.diagonal, lean.right) == (full.diagonal, full.right)
+    assert (lean.left.rows, lean.left.cols) == (len(rows), 0)
