@@ -1,10 +1,20 @@
-"""Byte-exact stdout and exit code of `alex` on fixed inputs.
+"""Byte-exact output and exit code of the CLI on fixed inputs.
 
-`alex_golden.json` holds one record per call: `argv` (after the program
-name), `exit` and `stdout`.  The inputs are the Wirtinger T(2,3..11) texts
-of the benchmark ladder (seed 0), the four K2(p,q) parity-class
-presentations (the relators of `test_fox.GOLDEN`), `<x, y | yy, xyXY>` and
-`<x, y | x^2 y^-3>`, each in text and `--json` form.
+Each golden file holds one record per call: `argv` (after the program
+name), `exit`, `stdout` and, where recorded, `stderr`.
+
+`alex_golden.json` holds the Wirtinger T(2,3..11) texts of the benchmark
+ladder (seed 0), the four K2(p,q) parity-class presentations (the relators
+of `test_fox.GOLDEN`), `<x, y | yy, xyXY>` and `<x, y | x^2 y^-3>`, each in
+text and `--json` form.
+
+`cli_golden.json` covers every subcommand: `gluck` with both meridians,
+bands, a non-trivial finite and an infinite quotient and its refusals;
+`enum` finite, exceeded, with subgroups and refused; `family` single
+records and grids in text, `--tsv` and `--json`, and every usage error;
+`alex` and parse errors.  Each call is in text and `--json` form where both
+apply.  The stderr of argparse's invalid-choice errors, which Python
+versions word differently, is not recorded.
 """
 
 import contextlib
@@ -16,12 +26,19 @@ import pytest
 
 from gluckknot import cli
 
-GOLDEN = json.loads((Path(__file__).parent / "alex_golden.json").read_text())
+HERE = Path(__file__).parent
+GOLDEN = [
+    case
+    for name in ("alex_golden.json", "cli_golden.json")
+    for case in json.loads((HERE / name).read_text())
+]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_alex_stdout_is_byte_identical(case):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(case["argv"])
     assert (code, out.getvalue()) == (case["exit"], case["stdout"])
+    if "stderr" in case:
+        assert err.getvalue() == case["stderr"]
