@@ -1,22 +1,26 @@
 """Command-line front end: alex, family, gluck, enum.
 
-Exit codes: 0 success, 1 usage or parse error, 2 precondition failure,
-3 internal invariant violation.  All output is exact and deterministic.
+Exit codes: 0 success (also when the reader closes stdout), 1 usage or
+parse error, 2 precondition failure, 3 internal invariant violation.  All
+output is exact and deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from . import __version__
 
 # Each subcommand imports the library modules it runs, so `--version` loads
 # none and `enum` only words, intmatrix and coset.  Each converts the library
 # errors that user input can cause into UsageError (exit 1) or
-# PreconditionError (exit 2) where it calls the library.
+# PreconditionError (exit 2), and returns its JSON payload (None for `family`,
+# whose lines encode themselves) and its text lines; `main` alone writes them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,12 +67,6 @@ def _report(command: str, payload: dict) -> dict:
     return {"tool_version": __version__, "seed": 0, "command": command, **payload}
 
 
-def _emit_json(report: dict) -> None:
-    import json
-
-    print(json.dumps(report, sort_keys=True))
-
-
 def _parse_presentation(text: str):
     from .words import Presentation, PresentationError, WordSyntaxError
 
@@ -78,7 +76,7 @@ def _parse_presentation(text: str):
         raise UsageError(f"bad presentation: {exc}") from exc
 
 
-def cmd_alex(args) -> int:
+def cmd_alex(args) -> tuple[dict | None, Iterable[str]]:
     from .fox import MinorBoundError, OrientationError, alexander_polynomial
 
     p = _parse_presentation(args.presentation)
@@ -94,18 +92,14 @@ def cmd_alex(args) -> int:
         "delta_principal": result.certified_principal,
         "e1_zero": False,
     }
-    if args.json:
-        _emit_json(_report("alex", payload))
-    else:
-        weights = " ".join(
-            f"{name}:{w}" for name, w in zip(p.generators, result.weights)
-        )
-        print(f"input: {p}")
-        print(f"weights: {weights}")
-        print(f"delta: {result.polynomial}")
-        print(f"principal: {'certified' if result.certified_principal else 'gcd-only'}")
-        print(f"H1: {payload['h1']}")
-    return EXIT_OK
+    weights = " ".join(f"{name}:{w}" for name, w in zip(p.generators, result.weights))
+    return payload, [
+        f"input: {p}",
+        f"weights: {weights}",
+        f"delta: {result.polynomial}",
+        f"principal: {'certified' if result.certified_principal else 'gcd-only'}",
+        f"H1: {payload['h1']}",
+    ]
 
 
 def _parse_range(text: str) -> range:
@@ -150,7 +144,7 @@ def _family_parts(record: dict, as_json: bool) -> list[str]:
     return ["", "\t", "\t" + "\t".join(cells)]
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[dict | None, Iterable[str]]:
     if args.grid is not None:
         if args.p is not None or args.q is not None:
             raise UsageError("give either p q or --grid, not both")
@@ -171,24 +165,18 @@ def cmd_family(args) -> int:
     # every family quotient simplifies to < | >, so no coset bound is too big
     if not (args.json or args.tsv) and size == 1:
         record = family_record(p_range[0], q_range[0], args.max_cosets)
-        for key in _FAMILY_COLUMNS[:9]:  # the scalars; handle counts follow
-            print(f"{key}: {record[key]}")
+        lines = [f"{key}: {record[key]}" for key in _FAMILY_COLUMNS[:9]]  # the scalars
         for key, counts in record["handle_counts"].items():
-            print(f"handle_counts.{key}: ({','.join(str(h) for h in counts)})")
-        return EXIT_OK
-    lines = [] if args.json else ["\t".join(_FAMILY_COLUMNS) + "\n"]
+            lines.append(f"handle_counts.{key}: ({','.join(str(h) for h in counts)})")
+        return None, lines
     render = lambda p, q: _family_parts(family_record(p, q, args.max_cosets), args.json)
     grid = ((p, q) for p in p_range for q in q_range)
-    for p, q, (head, middle, tail) in per_parity(grid, render):
-        lines.append(f"{head}{p}{middle}{q}{tail}\n")
-        if len(lines) == 4096:  # one write per chunk: fast, in bounded memory
-            sys.stdout.write("".join(lines))
-            lines.clear()
-    sys.stdout.write("".join(lines))
-    return EXIT_OK
+    # lazy: the records are made as `main` writes them
+    lines = (f"{h}{p}{m}{q}{t}" for p, q, (h, m, t) in per_parity(grid, render))
+    return None, lines if args.json else chain(["\t".join(_FAMILY_COLUMNS)], lines)
 
 
-def cmd_gluck(args) -> int:
+def cmd_gluck(args) -> tuple[dict | None, Iterable[str]]:
     from .coset import TableBudgetError, certify_trivial
     from .words import PresentationError
 
@@ -209,7 +197,14 @@ def cmd_gluck(args) -> int:
         "pi1": cert.status,
         "pi1_order": cert.order,
     }
-    counts_before = counts_after = None
+    order = f" (order {cert.order})" if cert.order and not cert.trivial else ""
+    lines = [
+        f"input: {p}",
+        f"kill: {args.kill}",
+        f"quotient: {quotient}",
+        f"pi1: {cert.status}{order}",
+        f"variant: {args.variant}",
+    ]
     if args.bands is not None:
         from .twoknot import (
             GluckVariant,
@@ -220,34 +215,21 @@ def cmd_gluck(args) -> int:
 
         m, n = args.bands
         try:
-            counts_before = complement_handle_counts(m, n)
-            counts_after = gluck_handle_counts(counts_before, GluckVariant(args.variant))
+            before = complement_handle_counts(m, n)
+            after = gluck_handle_counts(before, GluckVariant(args.variant))
         except InvalidRibbonError as exc:
             raise PreconditionError(str(exc)) from exc
+        chi = [before.euler_characteristic, after.euler_characteristic]
         payload["handle_counts"] = {
-            "complement": list(counts_before.as_tuple()),
-            "gluck": list(counts_after.as_tuple()),
-            "chi": [counts_before.euler_characteristic, counts_after.euler_characteristic],
+            "complement": list(before.as_tuple()),
+            "gluck": list(after.as_tuple()),
+            "chi": chi,
         }
-    if args.json:
-        _emit_json(_report("gluck", payload))
-    else:
-        print(f"input: {p}")
-        print(f"kill: {args.kill}")
-        print(f"quotient: {quotient}")
-        order = f" (order {cert.order})" if cert.order and not cert.trivial else ""
-        print(f"pi1: {cert.status}{order}")
-        print(f"variant: {args.variant}")
-        if counts_before is not None:
-            print(f"counts: {counts_before} -> {counts_after}")
-            print(
-                f"chi: {counts_before.euler_characteristic} -> "
-                f"{counts_after.euler_characteristic}"
-            )
-    return EXIT_OK
+        lines += [f"counts: {before} -> {after}", f"chi: {chi[0]} -> {chi[1]}"]
+    return payload, lines
 
 
-def cmd_enum(args) -> int:
+def cmd_enum(args) -> tuple[dict | None, Iterable[str]]:
     from .coset import TableBudgetError, enumerate_cosets
     from .words import WordSyntaxError
 
@@ -273,17 +255,13 @@ def cmd_enum(args) -> int:
         "order": outcome.order,
         "max_cosets": outcome.max_cosets,
     }
-    if args.json:
-        _emit_json(_report("enum", payload))
-    else:
-        print(f"input: {p}")
-        if subgroup:
-            print(f"subgroup: {', '.join(payload['subgroup'])}")
-        if outcome.finite:
-            print(f"order: {outcome.order}")
-        else:
-            print(f"exceeded: {outcome.max_cosets}")
-    return EXIT_OK
+    lines = [f"input: {p}"]
+    if subgroup:
+        lines.append(f"subgroup: {', '.join(payload['subgroup'])}")
+    lines.append(
+        f"order: {outcome.order}" if outcome.finite else f"exceeded: {outcome.max_cosets}"
+    )
+    return payload, lines
 
 
 def build_parser() -> _Parser:
@@ -333,7 +311,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        payload, lines = args.func(args)
+        if args.json and payload is not None:
+            import json
+
+            lines = [json.dumps(_report(args.subcommand, payload), sort_keys=True)]
+        lines = iter(lines)  # a family stream raises its errors in here
+        while chunk := list(islice(lines, 4096)):  # one write per chunk: flat memory
+            print("\n".join(chunk), flush=True)  # so a closed pipe raises here
+        return EXIT_OK
+    except BrokenPipeError:  # the reader left; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -345,10 +345,19 @@ def _eliminate(rows: list[list[dict[int, int]]]) -> tuple[LaurentPolynomial, boo
     ideal of maximal minors is kept and generated by the pivot product,
     whose primitive part is Delta.  With every c and content 1 it is kept
     over Z[t, t^-1], which proves E1 = (Delta).  Coefficients built and
-    multiplied count against MAX_MINOR_WORK as they run."""
+    multiplied count against MAX_MINOR_WORK as they run; the first pass over
+    column 0 is charged in advance from the sparse extents (`_fox_row` drops
+    zeros, so they give the dense lengths), before any dense entry is built."""
     need = "the elimination of the Alexander matrix needs"
-    work = sum(max(col) - min(col) + 1 for row in rows for col in row if col)
+    lengths = [[max(col) - min(col) + 1 if col else 0 for col in row] for row in rows]
+    work = sum(map(sum, lengths))
     _bound(work, need)
+    live = [row for row in lengths if row and row[0]]
+    first, pivot = work, min(live, key=lambda row: row[0], default=None)
+    for row in live:
+        if row is not pivot:
+            first += sum(x + (row[0] - pivot[0] + 1) * y for x, y in zip(row, pivot))
+            _bound(first, need)
     todo = [list(map(LaurentPolynomial, row)) for row in rows]
     product, exact = LaurentPolynomial.constant(1), True
     for _ in range(len(todo[0]) if todo else 0):

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -378,18 +382,48 @@ class _LineCounter(io.TextIOBase):
 
 
 class TestFamilyStreams:
-    def test_grid_memory_does_not_grow_with_the_grid(self):
+    @pytest.mark.parametrize(
+        "mode,lines", [("--json", 200 * 200), ("--tsv", 200 * 200 + 1)]  # + header
+    )
+    def test_grid_memory_does_not_grow_with_the_grid(self, mode, lines):
         # a list of the 40000 records, as dicts sharing their values, passes 8 MB
         sink = _LineCounter()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
-                code = main(["family", "--grid", "0..199", "0..199", "--json"])
+                code = main(["family", "--grid", "0..199", "0..199", mode])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (code, sink.lines) == (0, 200 * 200)
+        assert (code, sink.lines) == (0, lines)
         assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        (("family", "--grid", "0..99", "0..999", "--tsv"), 1),
+        (("family", "--grid", "0..99", "0..999", "--json"), 1),
+        (("enum", "<x | x^3>"), 0),  # all of it still buffered when the pipe closes
+    ],
+    ids=["tsv", "json", "buffered"],
+)
+def test_closed_pipe_ends_quietly(argv, read):
+    # `gluckknot family --grid ... | head -1`: exit 0, no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as in a plain shell
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gluckknot.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = [proc.stdout.readline() for _ in range(read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert all(first)
 
 
 class TestGluck:

@@ -794,3 +794,16 @@ def test_elimination_bound_above_limit(monkeypatch):
         code = cli.main(["alex", str(bound_pair(3158))])
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue() == f"error: {message}\n"
+
+
+def test_wide_entries_refused_before_they_are_built(monkeypatch):
+    # weights (1, 3000, 9 * 10^6): the z column spans millions of powers of
+    # t, so the first row step is charged, and refused, from the sparse
+    # extents alone
+    monkeypatch.setattr(fox, "LaurentPolynomial", None)  # never reached
+    message = (
+        "the elimination of the Alexander matrix needs an estimated 26991008 "
+        f"coefficient products, more than the limit of {MAX_MINOR_WORK}"
+    )
+    with pytest.raises(MinorBoundError, match=message):
+        alexander_polynomial(Presentation.parse("<x, y, z | y X^3000, z Y^3000, zxZX>"))
