@@ -17,8 +17,8 @@ from .intmatrix import rank
 from .words import Presentation, Word
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
-# table reach; checked before allocating.  At about 23 bytes an entry (91
-# per coset with two generators, peak RSS) the limit is some 390 MB.
+# table reach; checked before allocating.  Peak RSS: about 19 bytes an entry
+# on overflow, the worst case (two generators; 320 MB at the limit), 11 on S8.
 MAX_TABLE_ENTRIES = 1 << 24
 
 
@@ -33,9 +33,9 @@ class _TableOverflow(Exception):
 class CosetTable:
     """Mutable enumeration state, column-major: columns[col][c] is coset c's
     image under column col (2g for generator g, 2g + 1 for its inverse), -1
-    if undefined.  Dead cosets forward to their replacement union-find style.
-    Once `coincidence` returns, live rows reference only live cosets, so
-    scans read entries without resolving them."""
+    if undefined.  Dead cosets forward to their replacement union-find style;
+    once `coincidence` returns, live rows reference only live cosets, so scans
+    read them unresolved.  `renumber` ends the table, making it the final one."""
 
     def __init__(self, ngens: int, max_cosets: int):
         self.max_cosets = max_cosets
@@ -79,7 +79,8 @@ class CosetTable:
         parent, pairs, rep = self.parent, self.pairs, self.rep
         if a == b:
             return
-        a, b = min(a, b), max(a, b)
+        if a > b:
+            a, b = b, a
         parent[b] = a
         queue = [b]
         for dead in queue:  # merges append while this loop runs
@@ -107,7 +108,8 @@ class CosetTable:
                 if parent[e] != e:
                     e = rep(e)
                 if x != e:
-                    x, e = min(x, e), max(x, e)
+                    if x > e:
+                        x, e = e, x
                     parent[e] = x
                     queue.append(e)
 
@@ -167,17 +169,28 @@ class CosetTable:
             if parent[start] != start:
                 return
 
-    def compact(self) -> Optional[list[tuple[int, ...]]]:
-        """The columns of the live rows, cosets renumbered 0..n-1, or None
-        while an entry of a live row is undefined."""
-        live = [c for c, root in enumerate(self.parent) if root == c]
-        # index[-1], an undefined entry, stays -1 like every dead coset
-        index = [-1] * (len(self.parent) + 1)
+    def complete(self) -> Optional[list[int]]:
+        """The live cosets, or None while an entry of a live row is
+        undefined.  Changes nothing, so the enumeration can go on."""
+        # root, not the enumerate counter: the live cosets' own int objects
+        live = [root for c, root in enumerate(self.parent) if root == c]
+        if any(-1 in _gather(column, live) for column in self.columns):
+            return None
+        return live
+
+    def renumber(self, live: list[int]) -> list[tuple[int, ...]]:
+        """The columns of the live rows of a complete table, cosets renumbered
+        0..n-1.  Destroys the table: each column list, once nothing else holds
+        it, is freed as its live rows replace it, before the index ints exist;
+        `parent` becomes the index, whose dead slots live rows never reach."""
+        index, columns = self.parent, self.columns
+        del self.pairs
+        for col in range(len(columns)):
+            columns[col] = _gather(columns[col], live)
         for k, c in enumerate(live):
             index[c] = k
-        columns = [_gather(index, _gather(column, live)) for column in self.columns]
-        if any(-1 in column for column in columns):
-            return None
+        for col in range(len(columns)):
+            columns[col] = _gather(index, columns[col])
         return columns
 
 
@@ -202,15 +215,14 @@ def _replay(
     table: Sequence[Sequence[int]],
     relators: Sequence[Word],
     subgroup: Sequence[Word],
-    columns: Optional[Sequence[Sequence[int]]] = None,
+    order: Optional[int] = None,
 ) -> None:
     """Every coset closes every relator and every subgroup word fixes coset
-    0, checked a column at a time: all cosets go through a relator together,
-    column[c] for each coset c at each letter (`columns`, when the caller has
-    them, saves transposing `table`).  Raises AssertionError otherwise."""
-    if columns is None:
-        columns = list(zip(*table))
-    identity = tuple(range(len(table)))
+    0, checked a column at a time (all cosets through a relator together,
+    column[c] for each coset c at each letter), else AssertionError.  `table`
+    holds the rows, or the columns when `order`, the coset count, is given."""
+    columns = table if order is not None else list(zip(*table))
+    identity = tuple(range(len(table) if order is None else order))
     for r in relators:
         cols = CosetTable.compile(r)[0]
         cosets = columns[cols[0]] if cols else identity
@@ -265,8 +277,8 @@ def enumerate_cosets(
     scan = ct.scan_and_fill
     try:
         scan(0, [ct.bind(w) for w in subgroup_words])
-        final = None
-        while final is None:
+        live = None
+        while live is None:
             # the list iterator also visits cosets defined while it runs
             for alpha, root in enumerate(parent):
                 if root == alpha:
@@ -283,13 +295,15 @@ def enumerate_cosets(
                                 column[alpha] = d
                                 inverse[d] = alpha
             # a late coincidence can clear an entry of an earlier live row
-            final = ct.compact()
+            live = ct.complete()
     except _TableOverflow:
         return EnumerationOutcome(finite=False, order=None, max_cosets=max_cosets)
-    del ct, parent, columns, pairs, relators, scan  # free the table before the rows
+    pairs = relators = column = inverse = entries = None  # renumber frees columns
+    final = ct.renumber(live)
+    del ct, parent, columns, scan  # free the index before the rows
+    _replay(final, p.relators, subgroup_words, len(live))
     # with no generators there are no columns, and coset 0 is the only one
     table = tuple(zip(*final)) or ((),)
-    _replay(table, p.relators, subgroup_words, final)
     return EnumerationOutcome(
         finite=True, order=len(table), max_cosets=max_cosets, table=table
     )

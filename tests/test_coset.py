@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gluckknot.cli import main
 from gluckknot.coset import (
     MAX_TABLE_ENTRIES,
     CosetTable,
@@ -363,6 +366,66 @@ class TestAgainstSeedTable:
 
 A5 = coxeter(5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3})
 F4 = coxeter(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3})
+A6 = coxeter(6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3})
+H4 = coxeter(4, {(0, 1): 5, (1, 2): 3, (2, 3): 3})
+
+
+class TestFinalTable:
+    """The completeness check at the end of each pass leaves the table as it
+    was; the renumbering after the last pass frees it column by column, and
+    the replay of the renumbered columns gates every finite outcome."""
+
+    @pytest.mark.parametrize("p", [A5, H4], ids=["A5", "H4"])
+    def test_completeness_check_destroys_nothing(self, monkeypatch, p):
+        # no corpus input reaches a second pass, so the first check, run for
+        # real, reports a gap, and the second pass scans the table it left
+        calls = []
+        complete = CosetTable.complete
+
+        def incomplete_once(self):
+            live = complete(self)
+            calls.append(live is not None)
+            return live if len(calls) > 1 else None
+
+        monkeypatch.setattr(CosetTable, "complete", incomplete_once)
+        outcome = enumerate_cosets(p, (), 60000)
+        assert calls == [True, True]
+        assert (outcome.finite, outcome.order, outcome.table) == seed_enumerate(
+            p, (), 60000
+        )
+
+    def test_replay_gate_guards_the_pipeline(self, monkeypatch, capsys):
+        renumber = CosetTable.renumber
+
+        def swapped(self, live):
+            columns = renumber(self, live)
+            column = list(columns[0])
+            column[0], column[1] = column[1], column[0]
+            columns[0] = tuple(column)
+            return columns
+
+        monkeypatch.setattr(CosetTable, "renumber", swapped)
+        with pytest.raises(AssertionError, match="relator does not close"):
+            enumerate_cosets(dihedral(4))
+        code = main(["enum", "<x, y | xx, yy, xyxyxyxy>"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3,
+            "",
+            "internal error: relator does not close on the final table\n",
+        )
+
+    # 5.17 and 2.31 MiB while the whole HLT table outlived the renumbering
+    @pytest.mark.parametrize("p,mib", [(H4, 4.4), (A6, 2.0)], ids=["H4", "A6"])
+    def test_memory_peak(self, p, mib):
+        tracemalloc.start()
+        try:
+            outcome = enumerate_cosets(p, (), 60000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.finite
+        assert peak < mib * 2**20
 
 
 class TestLiveRowsAfterCoincidence:
