@@ -15,16 +15,16 @@ _EXPORTS = {
         "enumerate_cosets",
     ),
     "fox": (
-        "AlexanderMatrix",
         "AlexanderResult",
-        "GroupRingElement",
         "OrientationError",
-        "abelianize",
-        "alexander_matrix",
         "alexander_polynomial",
+        "solve_orientation_weights",
+    ),
+    "groupring": (
+        "GroupRingElement",
+        "abelianize",
         "fox_derivative",
         "fundamental_identity_check",
-        "solve_orientation_weights",
     ),
     "intmatrix": (
         "AbelianGroup",
@@ -40,6 +40,7 @@ _EXPORTS = {
         "laurent_gcd",
         "unit_equivalent",
     ),
+    "minors": ("AlexanderMatrix", "alexander_matrix"),
     "twoknot": (
         "FamilyClassification",
         "GluckVariant",

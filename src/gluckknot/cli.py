@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from . import __version__
 
 # Each subcommand imports the library modules it runs, so `--version` loads
-# none and `enum` only words, intmatrix and coset.  Each converts the library
+# none and `enum` only words, echelon and coset.  Each converts the library
 # errors that user input can cause into UsageError (exit 1) or
 # PreconditionError (exit 2), and returns its JSON payload (None for `family`,
 # whose lines encode themselves) and its text lines; `main` alone writes them.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .intmatrix import rank
+from .echelon import rank
 from .words import Presentation, Word
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset

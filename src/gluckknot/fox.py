@@ -1,28 +1,22 @@
-"""Fox free differential calculus and Alexander invariants.
+"""Alexander invariants from the abelianized Fox calculus.
 
-Derivatives live in the integer group ring ZF of the free group; abelianizing
-through integer orientation weights (generator g -> t^{w_g}) turns them into
-Laurent polynomials, and minors of the resulting matrix give the Alexander
-polynomial when the first elementary ideal is principal.
+H1 and the orientation weights (generator g -> t^{w_g}) come from one Smith
+normal form of the exponent matrix, and the abelianized Fox derivatives of
+each relator from one pass over it, as sparse rows.  When H1 = Z and some
+weight is +-1, Delta comes from one elimination of those rows.  Any other
+input, and a certificate that the elimination leaves open, takes the
+row-subset path of `minors`, which is imported only then; `groupring` holds
+the textbook calculus in ZF that the rows are tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from math import comb, gcd
-from typing import Iterable, Mapping, NamedTuple
+from math import gcd
+from typing import NamedTuple
 
 from .intmatrix import AbelianGroup, IntMatrix, primitive_vector, smith_normal_form
-from .laurent import (
-    LaurentPolynomial,
-    divide_exact,
-    divides,
-    laurent_gcd,
-    laurent_maximal_minors,
-    pseudo_quotient,
-    unit_equivalent,
-)
+from .laurent import LaurentPolynomial, divide_exact, pseudo_quotient
 from .words import Presentation, Word
 
 
@@ -39,112 +33,19 @@ class FoxInternalError(AssertionError):
 # matrix is built.
 MAX_ROW_SUBSETS = 2000
 
-# Most coefficient products that the eliminations may take, as `_minor_work`
-# estimates them before the row-subset eliminations and `_check_fold` before
-# the gcd of their minors, and as `_eliminate` counts them while it runs.  On
-# a 2-core machine a dense 2 x 3 block at the limit (exponent span 2235) takes
-# about 3 s, and Wirtinger T(2,17) with every letter squared (H1 = Z +
-# (Z/2)^16, so no elimination), estimated at 6.8e6, takes 0.5 s.
+# Most coefficient products that the eliminations may take, as
+# `minors._minor_work` estimates them before the row-subset eliminations and
+# `minors._check_fold` before the gcd of their minors, and as `_eliminate`
+# counts them while it runs.  On a 2-core machine a dense 2 x 3 block at the
+# limit (exponent span 2235) takes about 3 s, and Wirtinger T(2,17) with every
+# letter squared (H1 = Z + (Z/2)^16, so no elimination), estimated at 6.8e6,
+# takes 0.5 s.
 MAX_MINOR_WORK = 10**7
 
 
 class MinorBoundError(ValueError):
     """The first elementary ideal needs more than MAX_ROW_SUBSETS eliminations,
     or its minors or their gcd more than MAX_MINOR_WORK coefficient products."""
-
-
-class GroupRingElement:
-    """Finite integer combination of freely reduced words (element of ZF)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        clean: dict[Word, int] = {}
-        for w, c in items:
-            if c:
-                clean[w] = clean.get(w, 0) + c
-                if not clean[w]:
-                    del clean[w]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
-
-    def __reduce__(self):  # copy and pickle: the slots cannot be set afterwards
-        return GroupRingElement, (self.terms,)
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @classmethod
-    def from_word(cls, w: Word, coefficient: int = 1) -> "GroupRingElement":
-        return cls({w: coefficient})
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls({Word(): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out: dict[Word, int] = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u * v
-                out[w] = out.get(w, 0) + a * b
-        return GroupRingElement(out)
-
-    def __repr__(self) -> str:
-        return f"GroupRingElement({self.terms!r})"
-
-
-def fox_derivative(w: Word, gen: int) -> GroupRingElement:
-    """Free derivative d(w)/d(x_gen) in ZF.
-
-    Rules: d(g)/d(g) = 1, d(g^-1)/d(g) = -g^-1, d(uv)/d(g) = du + u dv.
-    """
-    terms: dict[Word, int] = {}
-    prefix: list[int] = []
-    for letter in w.letters:
-        if letter == gen + 1:
-            key = Word(prefix)
-            terms[key] = terms.get(key, 0) + 1
-        elif letter == -(gen + 1):
-            key = Word(prefix + [letter])
-            terms[key] = terms.get(key, 0) - 1
-        prefix.append(letter)
-    return GroupRingElement(terms)
-
-
-def fundamental_identity_check(w: Word, ngens: int) -> bool:
-    """Verify sum_g d(w)/d(g) * (g - 1) = w - 1 exactly in ZF."""
-    total = GroupRingElement.zero()
-    for g in range(ngens):
-        gen_minus_one = GroupRingElement({Word([g + 1]): 1, Word(): -1})
-        total = total + fox_derivative(w, g) * gen_minus_one
-    expected = GroupRingElement([(w, 1), (Word(), -1)])
-    return total == expected
 
 
 def _abelianization(p: Presentation) -> tuple[AbelianGroup, tuple[int, ...]]:
@@ -168,35 +69,6 @@ def solve_orientation_weights(p: Presentation) -> tuple[int, ...]:
     requires the abelianization to have free rank exactly 1.
     """
     return _abelianization(p)[1]
-
-
-def abelianize(
-    e: GroupRingElement, weights: tuple[int, ...]
-) -> LaurentPolynomial:
-    """Map each word u to t^{sum_g w_g * exp_g(u)} and extend linearly."""
-    ngens = len(weights)
-    coeffs: dict[int, int] = {}
-    for w, c in e.terms.items():
-        sums = w.exponent_sums(ngens)
-        exp = sum(wg * s for wg, s in zip(weights, sums))
-        coeffs[exp] = coeffs.get(exp, 0) + c
-    return LaurentPolynomial(coeffs)
-
-
-class AlexanderMatrix(NamedTuple):
-    """Abelianized Fox derivatives: one row per relator, one column per
-    generator."""
-
-    entries: tuple[tuple[LaurentPolynomial, ...], ...]
-    weights: tuple[int, ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.weights)
 
 
 def _fox_row(r: Word, weights: tuple[int, ...]) -> list[dict[int, int]]:
@@ -237,83 +109,11 @@ def _fox_rows(p: Presentation, weights: tuple[int, ...]) -> list[list[dict[int, 
     return rows
 
 
-def alexander_matrix(
-    p: Presentation, weights: tuple[int, ...] | None = None
-) -> AlexanderMatrix:
-    """Matrix of abelianized Fox derivatives of the cyclically reduced
-    relators; entry (i, j) is `abelianize(fox_derivative(r_i, j), weights)`.
-
-    Each row is checked by `_fox_rows`, and `_minor_work` (on two
-    generators, whose minors are the entries, also `_check_fold`) against
-    MAX_MINOR_WORK on the sparse rows, before any dense entry is built.
-    """
-    if weights is None:
-        weights = solve_orientation_weights(p)
-    rows = _fox_rows(p, weights)
-    extents = [[(min(col), max(col)) for col in row if col] for row in rows]
-    _bound(_minor_work(extents, len(weights)), "the Alexander minors need")
-    if len(weights) == 2:
-        _check_fold([hi - lo + 1 for row in extents for lo, hi in row])
-    entries = tuple(tuple(map(LaurentPolynomial, row)) for row in rows)
-    return AlexanderMatrix(entries=entries, weights=weights)
-
-
 class AlexanderResult(NamedTuple):
     polynomial: LaurentPolynomial
     certified_principal: bool
     weights: tuple[int, ...]
     h1: AbelianGroup
-
-
-def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
-    """All (n-1) x (n-1) minors of the Alexander matrix, n = generator count,
-    rows before columns in lexicographic order.  With no relators the one
-    0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS or
-    MAX_MINOR_WORK (see `alexander_matrix`)."""
-    _check_row_subsets(p)
-    return _minors(alexander_matrix(p))
-
-
-def _check_row_subsets(p: Presentation) -> None:
-    k = max(p.ngens - 1, 0)
-    subsets = comb(len(p.relators), k)
-    if subsets > MAX_ROW_SUBSETS:
-        raise MinorBoundError(
-            f"the Alexander matrix has {subsets} row subsets of size {k}, "
-            f"more than the limit of {MAX_ROW_SUBSETS}"
-        )
-
-
-def _minor_work(extents: list[list[tuple[int, int]]], cols: int) -> int:
-    """Estimated coefficient products of the first-ideal minors, from the
-    (lowest, highest) exponent of each nonzero entry, one list per row.
-    Each row subset is an m x (m+1) block, m = cols - 1; step k of its
-    fraction-free elimination updates (m-k)(m+1-k) entries with products of
-    polynomials of about k*S + 1 coefficients, S being the widest exponent
-    span of a row.  Back substitution costs about as much again."""
-    m = max(cols - 1, 0)
-    span = max(
-        (max(hi for _, hi in row) - min(lo for lo, _ in row) for row in extents if row),
-        default=0,
-    )
-    block = sum((m - k) * (m + 1 - k) * (k * span + 1) ** 2 for k in range(1, m))
-    return comb(len(extents), m) * block
-
-
-def _check_fold(lengths: list[int]) -> None:
-    """Bound the estimated coefficient products of the gcd fold over nonzero
-    minors of these dense lengths, in order, and of dividing each by the gcd.
-    A gcd of lengths a and b takes about a*b (the pseudo-remainder sequence)
-    and is no longer than either; dividing length n by length h takes
-    (n - h + 1) * h, largest at h = min(shortest length, (n + 1) // 2)."""
-    work, least = 0, lengths[0] if lengths else 0
-    for n in lengths[1:]:
-        work += least * n
-        least = min(least, n)
-    for n in lengths:
-        h = min(least, (n + 1) // 2)
-        work += (n - h + 1) * h
-    _bound(work, "the gcd of the Alexander minors needs")
 
 
 def _bound(work: int, need: str) -> None:
@@ -324,15 +124,16 @@ def _bound(work: int, need: str) -> None:
         )
 
 
-def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
-    """One elimination per row subset gives the minors of all its column
-    subsets; lexicographic column subsets delete the last column first."""
-    k = matrix.cols - 1
-    return [
-        minor
-        for rows in combinations(matrix.entries, k)
-        for minor in reversed(laurent_maximal_minors(rows))
-    ]
+def _width(entry: dict[int, int] | LaurentPolynomial) -> int:
+    """Coefficients of an entry once built; `_fox_row` drops zeros, so a
+    sparse entry spans max - min + 1 of them."""
+    if isinstance(entry, dict):
+        return max(entry) - min(entry) + 1 if entry else 0
+    return len(entry.dense)
+
+
+def _built(entry: dict[int, int] | LaurentPolynomial) -> LaurentPolynomial:
+    return LaurentPolynomial(entry) if isinstance(entry, dict) else entry
 
 
 def _eliminate(rows: list[list[dict[int, int]]]) -> tuple[LaurentPolynomial, bool]:
@@ -345,34 +146,28 @@ def _eliminate(rows: list[list[dict[int, int]]]) -> tuple[LaurentPolynomial, boo
     ideal of maximal minors is kept and generated by the pivot product,
     whose primitive part is Delta.  With every c and content 1 it is kept
     over Z[t, t^-1], which proves E1 = (Delta).  Coefficients built and
-    multiplied count against MAX_MINOR_WORK as they run; the first pass over
-    column 0 is charged in advance from the sparse extents (`_fox_row` drops
-    zeros, so they give the dense lengths), before any dense entry is built."""
+    multiplied count against MAX_MINOR_WORK: every entry at the start, then
+    each row step and pivot product from the `_width` of the entries it
+    reads, before it builds them.  An entry stays sparse until a row step or
+    the pivot product reads it, so a refused step has built nothing."""
     need = "the elimination of the Alexander matrix needs"
-    lengths = [[max(col) - min(col) + 1 if col else 0 for col in row] for row in rows]
-    work = sum(map(sum, lengths))
+    work = sum(_width(x) for row in rows for x in row)
     _bound(work, need)
-    live = [row for row in lengths if row and row[0]]
-    first, pivot = work, min(live, key=lambda row: row[0], default=None)
-    for row in live:
-        if row is not pivot:
-            first += sum(x + (row[0] - pivot[0] + 1) * y for x, y in zip(row, pivot))
-            _bound(first, need)
-    todo = [list(map(LaurentPolynomial, row)) for row in rows]
-    product, exact = LaurentPolynomial.constant(1), True
+    todo: list[list] = list(rows)
+    product, exact = {0: 1}, True  # the constant 1, sparse like the entries
     for _ in range(len(todo[0]) if todo else 0):
         live = [i for i, row in enumerate(todo) if row[0]]
         while len(live) > 1:
-            pivot = todo[min(live, key=lambda i: len(todo[i][0].dense))]
+            p = min(live, key=lambda i: _width(todo[i][0]))
             for i in live:
-                row = todo[i]
-                if row is pivot:
+                if i == p:
                     continue
-                span = len(row[0].dense) - len(pivot[0].dense) + 1  # of q, at most
-                work += sum(
-                    len(x.dense) + span * len(y.dense) for x, y in zip(row, pivot)
-                )
+                row, pivot = todo[i], todo[p]
+                span = _width(row[0]) - _width(pivot[0]) + 1  # of q, at most
+                work += sum(_width(x) + span * _width(y) for x, y in zip(row, pivot))
                 _bound(work, need)
+                todo[p] = pivot = list(map(_built, pivot))
+                row = list(map(_built, row))
                 c, q = pseudo_quotient(row[0], pivot[0])
                 row = row if c == 1 else [x.scale(c) for x in row]
                 row = [x - q * y if y else x for x, y in zip(row, pivot)]
@@ -385,29 +180,13 @@ def _eliminate(rows: list[list[dict[int, int]]]) -> tuple[LaurentPolynomial, boo
         if not live:
             raise FoxInternalError("the Alexander matrix has rank below n - 1")
         pivot = todo.pop(live[0])[0]
-        work += len(product.dense) * len(pivot.dense)
+        work += _width(product) * _width(pivot)
         _bound(work, need)
-        product = product * pivot
+        product = _built(product) * _built(pivot)
         todo = [row[1:] for row in todo]
+    product = _built(product)
     delta = divide_exact(LaurentPolynomial.constant(product.content()), product)
     return delta.normalize_unit(), exact
-
-
-def _one_minor_certifies(
-    p: Presentation, weights: tuple[int, ...], delta: LaurentPolynomial
-) -> bool:
-    """Whether some first-ideal minor is a unit multiple of delta, row
-    subsets in order; False past the bounds of `first_ideal_minors`."""
-    try:
-        _check_row_subsets(p)
-        matrix = alexander_matrix(p, weights)
-    except MinorBoundError:
-        return False
-    return any(
-        unit_equivalent(m, delta)
-        for rows in combinations(matrix.entries, matrix.cols - 1)
-        for m in laurent_maximal_minors(rows)
-    )
 
 
 def alexander_polynomial(p: Presentation) -> AlexanderResult:
@@ -419,31 +198,30 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
     without column k generate E1 (fundamental formula, Crowell-Fox ch. VII),
     so `_eliminate` without that column gives Delta (or raises
     MinorBoundError once past MAX_MINOR_WORK); Delta(1) = +-1 is checked,
-    and the minors are consulted only when needed and only within the
-    bounds of `first_ideal_minors`.  Any other input takes the gcd of all
-    minors, some nonzero as the exponent matrix has rank n-1, and raises
-    MinorBoundError past MAX_ROW_SUBSETS or MAX_MINOR_WORK, before any
-    elimination, and past MAX_MINOR_WORK for the gcd, before the gcd.
+    and the minors are consulted only when needed, within their bounds.
+    Any other input takes the gcd of all minors (`minors._gcd_of_minors`).
     """
     h1, weights = _abelianization(p)
     k = next((j for j, w in enumerate(weights) if w in (1, -1)), None)
-    if k is not None and not h1.torsion:
-        rows = [row[:k] + row[k + 1 :] for row in _fox_rows(p, weights)]
-        delta, certified = _eliminate(rows)
-        if delta.evaluate(1) not in (1, -1):
-            raise FoxInternalError(f"Delta(1) = {delta.evaluate(1)}, yet H1 = Z")
-        certified = certified or _one_minor_certifies(p, weights, delta)
-        return AlexanderResult(delta, certified, weights, h1)
-    _check_row_subsets(p)
-    minors = _minors(alexander_matrix(p, weights))
-    nonzero = [m for m in minors if not m.is_zero()]
-    if not nonzero:
-        raise FoxInternalError("all Alexander minors vanish, yet H1 has free rank 1")
-    _check_fold([len(m.dense) for m in nonzero])
-    g = nonzero[0]
-    for m in nonzero[1:]:
-        g = laurent_gcd(g, m)
-    if not all(divides(g, m) for m in minors):
-        raise FoxInternalError("gcd fails to divide a minor")
-    certified = any(unit_equivalent(m, g) for m in nonzero)
-    return AlexanderResult(g.normalize_unit(), certified, weights, h1)
+    if k is None or h1.torsion:
+        from .minors import _gcd_of_minors
+
+        return _gcd_of_minors(p, weights, h1)
+    rows = [row[:k] + row[k + 1 :] for row in _fox_rows(p, weights)]
+    delta, certified = _eliminate(rows)
+    if delta.evaluate(1) not in (1, -1):
+        raise FoxInternalError(f"Delta(1) = {delta.evaluate(1)}, yet H1 = Z")
+    if not certified:
+        from .minors import _one_minor_certifies
+
+        certified = _one_minor_certifies(p, weights, delta)
+    return AlexanderResult(delta, certified, weights, h1)
+
+
+def __getattr__(name: str):
+    # PEP 562: the row-subset path moved to `minors`, loaded on first use
+    if name in ("AlexanderMatrix", "alexander_matrix", "first_ideal_minors"):
+        from . import minors
+
+        return getattr(minors, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

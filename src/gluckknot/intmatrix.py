@@ -1,13 +1,18 @@
-"""Exact integer matrices: Smith normal form, cokernels, kernel vectors.
+"""Exact integer matrices: Smith normal form, cokernels, kernel vectors, and
+determinants by fraction-free elimination (`echelon`).
 
-All arithmetic is arbitrary-precision; no floating point anywhere.
+All arithmetic is arbitrary-precision; no floating point anywhere.  Coset
+enumeration needs only the rank (`echelon.rank`), so `enum` and `gluck`
+never load this module.
 """
 
 from __future__ import annotations
 
 import operator
 from math import gcd as int_gcd
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
+
+from .echelon import R, _echelon
 
 
 class IntMatrix:
@@ -69,47 +74,6 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-R = TypeVar("R")
-
-
-def _echelon(
-    rows: Sequence[Sequence[R]],
-    mul: Callable[[R, R], R],
-    sub: Callable[[R, R], R],
-    div: Callable[[R, R], R],
-    one: R,
-) -> tuple[list[list[R]], list[int], bool]:
-    """Fraction-free row echelon form over an integral domain (Bareiss 1968,
-    Sylvester's identity): after k pivots, entry (i, j) below them is the
-    minor on the pivot rows and row i by the pivot columns and column j, so
-    each division by the previous pivot is exact.  A column without a
-    nonzero entry at or below the current row is skipped.  A falsy entry is
-    zero; `div` divides exactly and `one` is the ring's unit.  Returns the
-    echelon rows, the pivot columns, and whether the row swaps negated."""
-    a = [list(row) for row in rows]
-    pivots: list[int] = []
-    negated = False
-    prev = one
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == len(a):
-            break
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            negated = not negated
-        pivot, pivot_row = a[r][c], a[r]
-        for row in a[r + 1 :]:
-            lead = row[c]
-            for j in range(c + 1, len(row)):
-                row[j] = div(sub(mul(row[j], pivot), mul(lead, pivot_row[j])), prev)
-        prev = pivot
-        pivots.append(c)
-    return a, pivots, negated
-
-
 def bareiss(
     rows: Sequence[Sequence[R]],
     mul: Callable[[R, R], R],
@@ -124,57 +88,6 @@ def bareiss(
     if len(pivots) < len(a):
         return sub(one, one), False
     return (a[-1][-1] if a else one), negated
-
-
-def maximal_minors(
-    rows: Sequence[Sequence[R]],
-    mul: Callable[[R, R], R],
-    sub: Callable[[R, R], R],
-    div: Callable[[R, R], R],
-    one: R,
-) -> list[R]:
-    """All maximal minors of an m x (m+1) matrix over an integral domain from
-    one fraction-free elimination; entry j is the minor with column j
-    deleted.  Ring operations as for `bareiss`.
-
-    Below rank m every minor is 0.  At rank m one column f is not a pivot
-    column, and the last pivot D is s * minor(-f), s the sign of the row
-    swaps.  Fraction-free back substitution (Nakos, Turner and Williams
-    1997) solves the echelon system for D times the coordinates of column f
-    in the pivot columns: y_k = (D a[k][f] - sum_{j>k} a[k][p_j] y_j) /
-    a[k][p_k], exact because by Cramer's rule y_k is the determinant with
-    column p_k replaced by column f.  Moving f back into place past the
-    |f - p_k| - 1 columns in between gives minor(-p_k) = +-s y_k."""
-    m = len(rows)
-    a, pivots, negated = _echelon(rows, mul, sub, div, one)
-    zero = sub(one, one)
-    if len(pivots) < m:
-        return [zero] * (m + 1)
-    (f,) = set(range(m + 1)).difference(pivots)
-    d = a[-1][pivots[-1]] if m else one
-    minors = [zero] * (m + 1)
-    minors[f] = sub(zero, d) if negated else d
-    y = [zero] * m
-    for k in range(m - 1, -1, -1):
-        row, p = a[k], pivots[k]
-        if k == m - 1:  # D / a[k][p_k] = 1
-            y[k] = row[f]
-        else:
-            acc = mul(d, row[f])
-            for j in range(k + 1, m):
-                acc = sub(acc, mul(row[pivots[j]], y[j]))
-            y[k] = div(acc, row[p])
-        flip = negated != (abs(f - p) % 2 == 0)
-        minors[p] = sub(zero, y[k]) if flip else y[k]
-    return minors
-
-
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix given as equal-length rows, the
-    number of pivots of one fraction-free elimination (`_echelon`).  It
-    costs O(rows * cols * rank) operations on integers no wider than the
-    minors, and builds no rows x rows transform."""
-    return len(_echelon(rows, operator.mul, operator.sub, operator.floordiv, 1)[1])
 
 
 def determinant(m: IntMatrix) -> int:

@@ -3,8 +3,8 @@
 Values of Alexander invariants live here.  Units of Z[t, t^-1] are +-t^k;
 `normalize_unit` fixes the canonical representative with minimal exponent 0
 and positive top coefficient.  A polynomial is a dense pair, and the class
-and the Z[t] kernels (gcd, exact division, Bareiss minors) share one set of
-list kernels on its coefficients.
+and the Z[t] kernels (gcd, exact and pseudo-division here, the Bareiss
+minors of `minors`) share one set of list kernels on its coefficients.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from math import gcd as int_gcd
 from types import MappingProxyType
 from typing import Optional
-
-from .intmatrix import maximal_minors
 
 
 class LaurentPolynomial:
@@ -284,42 +282,6 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial
     while v:
         u, v = v, _primitive(_pseudo_divmod(u, v)[2])
     return _poly(0, u).scale(int_gcd(a.content(), b.content())).normalize_unit()
-
-
-def _bareiss_div(num: list[int], den: list[int]) -> list[int]:
-    q = _div_exact(num, den)
-    if q is None:
-        # Sylvester's identity makes every Bareiss division exact
-        raise AssertionError("inexact division in Bareiss elimination")
-    return q
-
-
-def _shifted_dense(
-    rows: Sequence[Sequence[LaurentPolynomial]],
-) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """Each row times the power of t that makes its exponents non-negative,
-    as dense coefficients over Z[t]; also the total power, by which every
-    maximal minor is shifted."""
-    shift = 0
-    dense = []
-    for row in rows:
-        lo = min((entry.low for entry in row if entry), default=0)
-        shift += lo
-        dense.append([(0,) * (e.low - lo) + e.dense if e else () for e in row])
-    return shift, dense
-
-
-def laurent_maximal_minors(
-    rows: Sequence[Sequence[LaurentPolynomial]],
-) -> list[LaurentPolynomial]:
-    """All maximal minors of an m x (m+1) matrix over Z[t, t^-1] from one
-    elimination over Z[t] (`intmatrix.maximal_minors`) on the shifted rows
-    (`_shifted_dense`); entry j is the minor with column j deleted."""
-    shift, dense = _shifted_dense(rows)
-    return [
-        _poly(shift, minor)
-        for minor in maximal_minors(dense, _mul, _sub, _bareiss_div, [1])
-    ]
 
 
 def divide_exact(

@@ -10,15 +10,15 @@ import time
 import pytest
 
 from gluckknot.coset import certify_trivial, enumerate_cosets
-from gluckknot.fox import (
+from gluckknot.fox import alexander_polynomial
+from gluckknot.groupring import (
     GroupRingElement,
-    alexander_matrix,
-    alexander_polynomial,
     fox_derivative,
     fundamental_identity_check,
 )
 from gluckknot.intmatrix import IntMatrix, cokernel, determinant, smith_normal_form
 from gluckknot.laurent import LaurentPolynomial, divides, laurent_gcd, unit_equivalent
+from gluckknot.minors import alexander_matrix
 from gluckknot.twoknot import (
     GluckVariant,
     SpunObstruction,

@@ -12,25 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluckknot import cli, fox
+from gluckknot import cli, fox, minors
 from gluckknot.fox import (
     MAX_MINOR_WORK,
     MAX_ROW_SUBSETS,
-    AlexanderMatrix,
-    GroupRingElement,
     MinorBoundError,
     OrientationError,
     _abelianization,
     _eliminate,
     _fox_rows,
-    _minors,
-    abelianize,
-    alexander_matrix,
     alexander_polynomial,
-    first_ideal_minors,
+    solve_orientation_weights,
+)
+from gluckknot.groupring import (
+    GroupRingElement,
+    abelianize,
     fox_derivative,
     fundamental_identity_check,
-    solve_orientation_weights,
 )
 from gluckknot.intmatrix import IntMatrix, bareiss, cokernel
 from gluckknot.laurent import (
@@ -38,6 +36,12 @@ from gluckknot.laurent import (
     divide_exact,
     laurent_gcd,
     unit_equivalent,
+)
+from gluckknot.minors import (
+    AlexanderMatrix,
+    _minors,
+    alexander_matrix,
+    first_ideal_minors,
 )
 from gluckknot.words import Presentation, Word, parse_word
 
@@ -176,6 +180,14 @@ class TestAlexanderMatrix:
             for g, entry in enumerate(m.entries[0]):
                 total = total + entry * LaurentPolynomial({m.weights[g]: 1, 0: -1})
             assert total.is_zero()
+
+    def test_row_subset_names_resolve_through_fox(self):
+        # the row-subset path lives in `minors`; `fox` still answers for it
+        assert fox.AlexanderMatrix is AlexanderMatrix
+        assert fox.alexander_matrix is alexander_matrix
+        assert fox.first_ideal_minors is first_ideal_minors
+        with pytest.raises(AttributeError):
+            fox.no_such_name
 
 
 GOLDEN = {
@@ -466,7 +478,7 @@ def test_minor_work_bound_at_limit(monkeypatch):
         raise EliminationReached
 
     # the block at the limit is admitted (its eliminations take seconds)
-    monkeypatch.setattr(fox, "laurent_maximal_minors", stop)
+    monkeypatch.setattr(minors, "laurent_maximal_minors", stop)
     with pytest.raises(EliminationReached):
         alexander_polynomial(chain3(e))
     with pytest.raises(EliminationReached):
@@ -475,7 +487,7 @@ def test_minor_work_bound_at_limit(monkeypatch):
 
 def test_minor_work_bound_above_limit(monkeypatch):
     e = isqrt(MAX_MINOR_WORK // 2) + 1
-    monkeypatch.setattr(fox, "laurent_maximal_minors", None)  # never reached
+    monkeypatch.setattr(minors, "laurent_maximal_minors", None)  # never reached
     message = f"estimated {2 * e * e} coefficient products, more than the limit"
     with pytest.raises(MinorBoundError, match=message):
         alexander_polynomial(chain3(e))
@@ -510,7 +522,7 @@ def test_gcd_bound_above_limit_on_two_generators(monkeypatch):
     # lengths 2602 and 2601: 2602 * 2601 + 1302 * 1301 + 1301 * 1301; the
     # entries are the minors, so the sparse rows are refused before any
     # dense entry is built
-    monkeypatch.setattr(fox, "LaurentPolynomial", None)  # never reached
+    monkeypatch.setattr(minors, "LaurentPolynomial", None)  # never reached
     message = "the gcd of the Alexander minors needs an estimated 10154305 coefficient"
     with pytest.raises(MinorBoundError, match=message):
         alexander_polynomial(torus_pair(52))
@@ -530,7 +542,7 @@ def test_gcd_bound_at_limit_on_three_generators():
 
 def test_gcd_bound_above_limit_on_three_generators(monkeypatch):
     # 10003646 for e = 954; the minors themselves are admitted
-    monkeypatch.setattr(fox, "laurent_gcd", None)  # never reached
+    monkeypatch.setattr(minors, "laurent_gcd", None)  # never reached
     with pytest.raises(MinorBoundError, match="estimated 10003646 coefficient products"):
         alexander_polynomial(chain3(954))
     assert len(first_ideal_minors(chain3(954))) == 3
@@ -766,7 +778,7 @@ def bound_pair(n):
 
 def test_elimination_bound_at_limit(monkeypatch):
     n = 3157  # 9995077 products; 3158 would take 10001401
-    monkeypatch.setattr(fox, "laurent_maximal_minors", None)  # never reached
+    monkeypatch.setattr(minors, "laurent_maximal_minors", None)  # never reached
     result = alexander_polynomial(bound_pair(n))
     assert result.polynomial == L(f"t^{2 * n + 1}-t^{n}-t+2")
     assert result.certified_principal
@@ -781,7 +793,7 @@ def test_elimination_bound_above_limit(monkeypatch):
 
     fox_pseudo_quotient = fox.pseudo_quotient
     monkeypatch.setattr(fox, "pseudo_quotient", spy)
-    monkeypatch.setattr(fox, "laurent_maximal_minors", None)  # never reached
+    monkeypatch.setattr(minors, "laurent_maximal_minors", None)  # never reached
     message = (
         "the elimination of the Alexander matrix needs an estimated 10001401 "
         f"coefficient products, more than the limit of {MAX_MINOR_WORK}"
@@ -807,3 +819,30 @@ def test_wide_entries_refused_before_they_are_built(monkeypatch):
     )
     with pytest.raises(MinorBoundError, match=message):
         alexander_polynomial(Presentation.parse("<x, y, z | y X^3000, z Y^3000, zxZX>"))
+
+
+def test_wide_entry_of_a_later_column_refused_before_it_is_built(monkeypatch):
+    # weights (1, 5, 3000): the z column has one live row, so no row step;
+    # the y entry of the last relator spans about 5.1 * 10^6 powers of t and
+    # meets its first row step in the y column, which is charged, and
+    # refused, from the sparse extents before that entry is built
+    built = []
+
+    def spy(coeffs):
+        built.append(len(coeffs))
+        return LaurentPolynomial(coeffs)
+
+    monkeypatch.setattr(fox, "LaurentPolynomial", spy)
+    text = "<x, z, y | y X^3000, z X^5, x y^1700 X Y^1700>"
+    message = (
+        "the elimination of the Alexander matrix needs an estimated 15291009 "
+        f"coefficient products, more than the limit of {MAX_MINOR_WORK}"
+    )
+    with pytest.raises(MinorBoundError, match=message):
+        alexander_polynomial(Presentation.parse(text))
+    assert built and max(built) == 1  # the z pivot and the product, one term each
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", text])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"

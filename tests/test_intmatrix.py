@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gluckknot.echelon import rank
 from gluckknot.intmatrix import (
     AbelianGroup,
     IntMatrix,
     cokernel,
     determinant,
     kernel_basis,
-    maximal_minors,
     primitive_vector,
-    rank,
     smith_normal_form,
 )
+from gluckknot.minors import maximal_minors
 
 
 def check_smith(a: IntMatrix):
