@@ -220,7 +220,7 @@ def alexander_polynomial(p: Presentation) -> AlexanderResult:
 
 def __getattr__(name: str):
     # PEP 562: the row-subset path moved to `minors`, loaded on first use
-    if name in ("AlexanderMatrix", "alexander_matrix", "first_ideal_minors"):
+    if name in ("alexander_matrix", "first_ideal_minors"):
         from . import minors
 
         return getattr(minors, name)

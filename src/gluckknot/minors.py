@@ -2,7 +2,7 @@
 its first-ideal minors (one fraction-free elimination per row subset), and
 Delta as their gcd.  `fox.alexander_polynomial` imports it only when H1 has
 torsion, no weight is +-1, or its one elimination leaves E1 = (Delta)
-unproved; the benchmark's Wirtinger and K2(p,q) inputs never load it."""
+unproved; Wirtinger T(2,n) and the K2(p,q) family never load it."""
 
 from __future__ import annotations
 

@@ -183,7 +183,6 @@ class TestAlexanderMatrix:
 
     def test_row_subset_names_resolve_through_fox(self):
         # the row-subset path lives in `minors`; `fox` still answers for it
-        assert fox.AlexanderMatrix is AlexanderMatrix
         assert fox.alexander_matrix is alexander_matrix
         assert fox.first_ideal_minors is first_ideal_minors
         with pytest.raises(AttributeError):
