@@ -8,12 +8,7 @@ so a CLI subcommand pays at start-up only for the modules it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "coset": (
-        "EnumerationOutcome",
-        "TrivialityCertificate",
-        "certify_trivial",
-        "enumerate_cosets",
-    ),
+    "coset": ("EnumerationOutcome", "enumerate_cosets"),
     "fox": (
         "AlexanderResult",
         "OrientationError",
@@ -66,8 +61,10 @@ _EXPORTS = {
     "words": (
         "Presentation",
         "PresentationError",
+        "TrivialityCertificate",
         "Word",
         "WordSyntaxError",
+        "certify_trivial",
         "parse_word",
         "word_to_str",
     ),

@@ -1,11 +1,14 @@
 """Bounded Todd-Coxeter coset enumeration (HLT strategy).
 
-Certifies finite subgroup index -- in particular group order 1 for the
-quotient presentations arising from Gluck blow-downs.  An Exceeded outcome
-is inconclusive, never a refutation.  When the abelianized quotient of the
-group by the subgroup is infinite, as for every knot group and the trivial
-subgroup, the index is proved infinite and `exceeded` comes back at once,
-without a table; it is still reported as `exceeded`, like any overflow.
+Certifies finite subgroup index -- in particular group order 1 for a Gluck
+quotient that `simplify` leaves with generators.  `certify_trivial` lives in
+`words` and settles a quotient simplified to < | >, as every K2(p,q) one is,
+without loading this module; it is re-exported here with
+`TrivialityCertificate`.  An Exceeded outcome is inconclusive, never a
+refutation.  When the abelianized quotient of the group by the subgroup is
+infinite, as for every knot group and the trivial subgroup, the index is
+proved infinite and `exceeded` comes back at once, without a table; it is
+still reported as `exceeded`, like any overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .echelon import rank
-from .words import Presentation, Word
+from .words import Presentation, TrivialityCertificate, Word, certify_trivial
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
 # table reach; checked before allocating.  Peak RSS: about 19 bytes an entry
@@ -307,27 +310,3 @@ def enumerate_cosets(
     return EnumerationOutcome(
         finite=True, order=len(table), max_cosets=max_cosets, table=table
     )
-
-
-class TrivialityCertificate(NamedTuple):
-    trivial: bool
-    order: Optional[int]  # finite order found, when any
-
-    @property
-    def status(self) -> str:
-        return "trivial" if self.trivial else "inconclusive"
-
-
-def certify_trivial(p: Presentation, max_cosets: int = 10000) -> TrivialityCertificate:
-    """Certify |G| = 1 by simplification plus coset enumeration.
-
-    A trivial verdict is a proof; an inconclusive one is not a refutation
-    (though a finite order > 1, when found, is attached as evidence).
-    Where `simplify` reaches < | >, as for every K2(p,q) quotient, the replay
-    of the one-coset table checks nothing and the verdict rests on `simplify`.
-    """
-    simplified = p.simplify()
-    outcome = enumerate_cosets(simplified, (), max_cosets)
-    if outcome.finite and outcome.order == 1:
-        return TrivialityCertificate(trivial=True, order=1)
-    return TrivialityCertificate(trivial=False, order=outcome.order)

@@ -3,16 +3,18 @@ determinants by fraction-free elimination (`echelon`).
 
 All arithmetic is arbitrary-precision; no floating point anywhere.  Coset
 enumeration needs only the rank (`echelon.rank`), so `enum` and `gluck`
-never load this module.
+never load this module.  No subcommand computes a determinant, so `bareiss`
+imports `echelon` when called, and `alex` and `family` never load it.
 """
 
 from __future__ import annotations
 
 import operator
 from math import gcd as int_gcd
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .echelon import R, _echelon
+if TYPE_CHECKING:
+    from .echelon import R
 
 
 class IntMatrix:
@@ -84,6 +86,8 @@ def bareiss(
     """Determinant of a square matrix over an integral domain by fraction-free
     elimination (`_echelon`).  Returns the determinant up to sign, and
     whether the row swaps negated it."""
+    from .echelon import _echelon
+
     a, pivots, negated = _echelon(rows, mul, sub, div, one)
     if len(pivots) < len(a):
         return sub(one, one), False

@@ -5,8 +5,9 @@ A ribbon 2-knot in normal form with m lower and n upper bands has a
 complement handle decomposition with counts (1, m+1, m+n, n+1, 1); the
 Gluck twist trades handles so that the closed result has Euler
 characteristic 2.  At the group level the twist kills the meridian of a
-dotted circle.  Each K2(p,q) quotient simplifies to < | > before any coset
-table is built, so its trivial verdict rests on `kill_generator` and `simplify`.
+dotted circle.  Each K2(p,q) quotient simplifies to < | >, which
+`certify_trivial` certifies without a coset table, so its trivial verdict
+rests on `kill_generator` and `simplify`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .coset import certify_trivial
 from .fox import AlexanderResult, alexander_polynomial
 from .intmatrix import AbelianGroup, IntMatrix, cokernel
 from .laurent import LaurentPolynomial, unit_equivalent
-from .words import Presentation, PresentationError, Word, parse_word
+from .words import Presentation, PresentationError, Word, certify_trivial, parse_word
 
 
 class InvalidRibbonError(ValueError):

@@ -1,4 +1,5 @@
-"""Freely reduced words in a free group, and finite group presentations.
+"""Freely reduced words in a free group, finite group presentations, and
+certificates that a presentation gives the trivial group.
 
 Letters are encoded as signed nonzero integers: +(i+1) is generator number i,
 -(i+1) is its inverse.  The empty word is the identity.
@@ -6,7 +7,7 @@ Letters are encoded as signed nonzero integers: +(i+1) is generator number i,
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 MAX_GENERATORS = 64
 # Letters of one parsed word after exponents are expanded; keeps a short
@@ -285,3 +286,33 @@ class Presentation:
         relator_texts = [r.strip() for r in rel_part.split(",") if r.strip()]
         relators = [parse_word(t, generators) for t in relator_texts]
         return cls(generators, relators)
+
+
+class TrivialityCertificate(NamedTuple):
+    trivial: bool
+    order: Optional[int]  # finite order found, when any
+
+    @property
+    def status(self) -> str:
+        return "trivial" if self.trivial else "inconclusive"
+
+
+def certify_trivial(p: Presentation, max_cosets: int = 10000) -> TrivialityCertificate:
+    """Certify |G| = 1 by simplification plus coset enumeration.
+
+    A trivial verdict is a proof; an inconclusive one is not a refutation
+    (though a finite order > 1, when found, is attached as evidence).
+    Where `simplify` reaches no generators, as for every K2(p,q) quotient,
+    the group is trivial and no table is built.  Any other quotient is
+    enumerated by `coset.enumerate_cosets`, which loads only then and raises
+    its TableBudgetError here.  Raises ValueError when max_cosets < 1.
+    """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be at least 1")
+    simplified = p.simplify()
+    if not simplified.generators:
+        return TrivialityCertificate(trivial=True, order=1)
+    from .coset import enumerate_cosets
+
+    order = enumerate_cosets(simplified, (), max_cosets).order  # None if not finite
+    return TrivialityCertificate(trivial=order == 1, order=order)

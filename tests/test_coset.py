@@ -1,9 +1,12 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gluckknot.coset
 from gluckknot.cli import main
 from gluckknot.coset import (
     MAX_TABLE_ENTRIES,
@@ -13,8 +16,8 @@ from gluckknot.coset import (
     certify_trivial,
     enumerate_cosets,
 )
-from gluckknot.twoknot import family_presentation
-from gluckknot.words import Presentation, Word
+from gluckknot.twoknot import family_presentation, family_record
+from gluckknot.words import Presentation, PresentationError, Word
 
 
 def cyclic(n):
@@ -183,6 +186,121 @@ class TestCertifyTrivial:
     def test_infinite_inconclusive(self):
         cert = certify_trivial(Presentation.parse("< x | >"), 50)
         assert not cert.trivial and cert.order is None
+
+
+def hlt_verdict(p, max_cosets):
+    """Oracle: (trivial, order) from HLT on the simplified presentation, as
+    certify_trivial computed it before generator-free quotients skipped it;
+    the exception type when the enumeration refuses."""
+    try:
+        outcome = enumerate_cosets(p.simplify(), (), max_cosets)
+    except ValueError as exc:
+        return type(exc)
+    return outcome.finite and outcome.order == 1, outcome.order
+
+
+def certify_verdict(p, max_cosets):
+    try:
+        cert = certify_trivial(p, max_cosets)
+    except ValueError as exc:
+        return type(exc)
+    return cert.trivial, cert.order
+
+
+def gluck_golden_quotients():
+    """(quotient, max_cosets) of every `gluck` golden call that kills a
+    generator of its presentation."""
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    cases = set()
+    for case in golden:
+        argv = case["argv"]
+        if argv[:1] != ["gluck"] or "--kill" not in argv:
+            continue
+        bound = argv[argv.index("--max-cosets") + 1] if "--max-cosets" in argv else 10000
+        try:
+            quotient = Presentation.parse(argv[1]).kill_generator(
+                argv[argv.index("--kill") + 1]
+            )
+        except PresentationError:
+            continue
+        cases.add((quotient, int(bound)))
+    return sorted(cases, key=repr)
+
+
+def unit_relators(n):
+    """Single-letter relators on some of n generators: `simplify` kills
+    those, so a presentation carrying all of them simplifies to < | >."""
+    return st.lists(
+        st.integers(min_value=1, max_value=n).flatmap(
+            lambda g: st.sampled_from([Word([g]), Word([-g])])
+        ),
+        max_size=n,
+    )
+
+
+class TestCertifyAgainstHLT:
+    """certify_trivial answers a quotient that simplifies to < | > without
+    HLT; the verdict must still be the one HLT gives."""
+
+    @pytest.mark.parametrize("gen", ["x", "y"])
+    @pytest.mark.parametrize("pq", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_family_quotients(self, pq, gen):
+        quotient = family_presentation(*pq).kill_generator(gen)
+        assert certify_verdict(quotient, 10000) == hlt_verdict(quotient, 10000)
+        assert certify_verdict(quotient, 10000) == (True, 1)
+
+    @pytest.mark.parametrize("quotient,max_cosets", gluck_golden_quotients())
+    def test_gluck_golden_inputs(self, quotient, max_cosets):
+        assert certify_verdict(quotient, max_cosets) == hlt_verdict(quotient, max_cosets)
+
+    def test_golden_inputs_cover_both_paths(self):
+        simplified = [q.simplify().ngens for q, _ in gluck_golden_quotients()]
+        assert 0 in simplified and max(simplified) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(word_on(n, 8), max_size=3) if n else st.just([]),
+                unit_relators(n) if n else st.just([]),
+                st.sampled_from([1, 2, 7, 50, 200]),
+            )
+        )
+    )
+    def test_random_presentations(self, case):
+        n, relators, units, max_cosets = case
+        p = Presentation(list("xyz"[:n]), relators + units)
+        assert certify_verdict(p, max_cosets) == hlt_verdict(p, max_cosets)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Presentation.parse("< | >"),
+            family_presentation(0, 0).kill_generator("x"),
+            cyclic(2),
+        ],
+    )
+    def test_zero_bound_still_raises(self, p):
+        with pytest.raises(ValueError, match="at least 1"):
+            certify_trivial(p, 0)
+
+    def test_family_record_never_enumerates(self, monkeypatch):
+        calls = []
+        enumerate_ = gluckknot.coset.enumerate_cosets
+
+        def spy(p, subgroup_words=(), max_cosets=10000):
+            calls.append(p)
+            return enumerate_(p, subgroup_words, max_cosets)
+
+        monkeypatch.setattr(gluckknot.coset, "enumerate_cosets", spy)
+        for p in range(-2, 3):
+            for q in range(-2, 3):
+                assert family_record(p, q)["gluck_pi1"] == "trivial"
+        assert calls == []
+        # the spy sees the enumeration of a quotient with generators left
+        assert not certify_trivial(cyclic(2), 10).trivial
+        assert calls == [cyclic(2)]
 
 
 class SeedTable:
