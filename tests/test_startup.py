@@ -110,6 +110,10 @@ def ast_nodes(module):
     [
         (("enum", "<x | x^3>"), 7000),
         (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 7000),
+        (("alex", "<x, y | xyxYXY>"), 10800),
+        (("family", "--grid", "0..1", "0..1", "--json"), 14600),
+        # the caps since alex and family stopped compiling echelon, and family
+        # coset; the two above are the caps from before, kept as cases
         (("alex", "<x, y | xyxYXY>"), 10400),
         (("family", "--grid", "0..1", "0..1", "--json"), 12200),
     ],
