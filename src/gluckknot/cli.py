@@ -16,11 +16,11 @@ from typing import Iterable, Sequence
 
 from . import __version__
 
-# Each subcommand imports the library modules it runs, so `--version` loads
-# none, `enum` and `gluck` only words, echelon and coset, and `family` neither
-# echelon nor coset: its quotients simplify to < | >, which
-# `words.certify_trivial` settles without a table.  Each converts the library
-# errors that user input can cause into UsageError (exit 1) or
+# Each subcommand imports the library modules it runs: `--version` none, `enum`
+# words, echelon and coset, and `gluck` echelon and coset only for a quotient
+# that keeps generators: `words.certify_trivial` settles one simplified to
+# < | >, as every `family` quotient is, without a table.  Each converts the
+# library errors that user input can cause into UsageError (exit 1) or
 # PreconditionError (exit 2), and returns its JSON payload (None for `family`,
 # whose lines encode themselves) and its text lines; `main` alone writes them.
 
@@ -179,8 +179,7 @@ def cmd_family(args) -> tuple[dict | None, Iterable[str]]:
 
 
 def cmd_gluck(args) -> tuple[dict | None, Iterable[str]]:
-    from .coset import TableBudgetError
-    from .words import PresentationError, certify_trivial
+    from .words import PresentationError, TableBudgetError, certify_trivial
 
     p = _parse_presentation(args.presentation)
     try:

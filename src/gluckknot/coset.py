@@ -4,11 +4,11 @@ Certifies finite subgroup index -- in particular group order 1 for a Gluck
 quotient that `simplify` leaves with generators.  `certify_trivial` lives in
 `words` and settles a quotient simplified to < | >, as every K2(p,q) one is,
 without loading this module; it is re-exported here with
-`TrivialityCertificate`.  An Exceeded outcome is inconclusive, never a
-refutation.  When the abelianized quotient of the group by the subgroup is
-infinite, as for every knot group and the trivial subgroup, the index is
-proved infinite and `exceeded` comes back at once, without a table; it is
-still reported as `exceeded`, like any overflow.
+`TrivialityCertificate` and `TableBudgetError`.  An Exceeded outcome is
+inconclusive, never a refutation.  When the abelianized quotient of the
+group by the subgroup is infinite, as for every knot group and the trivial
+subgroup, the index is proved infinite and `exceeded` comes back at once,
+without a table; it is still reported as `exceeded`, like any overflow.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .echelon import rank
-from .words import Presentation, TrivialityCertificate, Word, certify_trivial
+from .words import Presentation, TableBudgetError, TrivialityCertificate, Word
+from .words import certify_trivial
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
 # table reach; checked before allocating.  Peak RSS: about 19 bytes an entry
 # on overflow, the worst case (two generators; 320 MB at the limit), 11 on S8.
 MAX_TABLE_ENTRIES = 1 << 24
-
-
-class TableBudgetError(ValueError):
-    """max_cosets could fill more than MAX_TABLE_ENTRIES table entries."""
 
 
 class _TableOverflow(Exception):
@@ -215,17 +212,15 @@ def _gather(values: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
 
 
 def _replay(
-    table: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]],
     relators: Sequence[Word],
     subgroup: Sequence[Word],
-    order: Optional[int] = None,
 ) -> None:
     """Every coset closes every relator and every subgroup word fixes coset
     0, checked a column at a time (all cosets through a relator together,
-    column[c] for each coset c at each letter), else AssertionError.  `table`
-    holds the rows, or the columns when `order`, the coset count, is given."""
-    columns = table if order is not None else list(zip(*table))
-    identity = tuple(range(len(table) if order is None else order))
+    column[c] for each coset c at each letter), else AssertionError.  With
+    no columns (no generators) the table has one coset."""
+    identity = tuple(range(len(columns[0]) if columns else 1))
     for r in relators:
         cols = CosetTable.compile(r)[0]
         cosets = columns[cols[0]] if cols else identity
@@ -304,7 +299,7 @@ def enumerate_cosets(
     pairs = relators = column = inverse = entries = None  # renumber frees columns
     final = ct.renumber(live)
     del ct, parent, columns, scan  # free the index before the rows
-    _replay(final, p.relators, subgroup_words, len(live))
+    _replay(final, p.relators, subgroup_words)
     # with no generators there are no columns, and coset 0 is the only one
     table = tuple(zip(*final)) or ((),)
     return EnumerationOutcome(

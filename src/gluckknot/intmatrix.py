@@ -3,18 +3,15 @@ determinants by fraction-free elimination (`echelon`).
 
 All arithmetic is arbitrary-precision; no floating point anywhere.  Coset
 enumeration needs only the rank (`echelon.rank`), so `enum` and `gluck`
-never load this module.  No subcommand computes a determinant, so `bareiss`
-imports `echelon` when called, and `alex` and `family` never load it.
+never load this module.  No subcommand takes a determinant, which imports
+`echelon` when called, so `alex` and `family` never load it.
 """
 
 from __future__ import annotations
 
-import operator
 from math import gcd as int_gcd
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .echelon import R
+from operator import floordiv, mul, sub
+from typing import NamedTuple, Sequence
 
 
 class IntMatrix:
@@ -76,29 +73,16 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-def bareiss(
-    rows: Sequence[Sequence[R]],
-    mul: Callable[[R, R], R],
-    sub: Callable[[R, R], R],
-    div: Callable[[R, R], R],
-    one: R,
-) -> tuple[R, bool]:
-    """Determinant of a square matrix over an integral domain by fraction-free
-    elimination (`_echelon`).  Returns the determinant up to sign, and
-    whether the row swaps negated it."""
-    from .echelon import _echelon
-
-    a, pivots, negated = _echelon(rows, mul, sub, div, one)
-    if len(pivots) < len(a):
-        return sub(one, one), False
-    return (a[-1][-1] if a else one), negated
-
-
 def determinant(m: IntMatrix) -> int:
-    """Exact integer determinant by Bareiss elimination."""
+    """Exact integer determinant by fraction-free elimination (`_echelon`)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    det, negated = bareiss(m.data, operator.mul, operator.sub, operator.floordiv, 1)
+    from .echelon import _echelon
+
+    a, pivots, negated = _echelon(m.data, mul, sub, floordiv, 1)
+    if len(pivots) < m.rows:
+        return 0
+    det = a[-1][-1] if a else 1
     return -det if negated else det
 
 
@@ -251,12 +235,6 @@ class AbelianGroup(NamedTuple):
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """Cokernel of a relator-by-generator exponent matrix."""
     return smith_normal_form(a, with_left=False).cokernel()
-
-
-def kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Integer kernel basis vectors (columns of the right transform with
-    zero image)."""
-    return smith_normal_form(a, with_left=False).kernel_basis()
 
 
 def primitive_vector(v: Sequence[int]) -> list[int]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .echelon import R, _echelon
 from .fox import MAX_ROW_SUBSETS, AlexanderResult, FoxInternalError, MinorBoundError
@@ -28,7 +28,7 @@ def maximal_minors(
 ) -> list[R]:
     """All maximal minors of an m x (m+1) matrix over an integral domain from
     one fraction-free elimination; entry j is the minor with column j
-    deleted.  Ring operations as for `intmatrix.bareiss`.
+    deleted.  Ring operations as for `echelon._echelon`.
 
     Below rank m every minor is 0.  At rank m one column f is not a pivot
     column, and the last pivot D is s * minor(-f), s the sign of the row
@@ -142,7 +142,7 @@ def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
     0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS or
     MAX_MINOR_WORK (see `alexander_matrix`)."""
     _check_row_subsets(p)
-    return _minors(alexander_matrix(p))
+    return list(_minors(alexander_matrix(p)))
 
 
 def _check_row_subsets(p: Presentation) -> None:
@@ -187,15 +187,11 @@ def _check_fold(lengths: list[int]) -> None:
     _bound(work, "the gcd of the Alexander minors needs")
 
 
-def _minors(matrix: AlexanderMatrix) -> list[LaurentPolynomial]:
+def _minors(matrix: AlexanderMatrix) -> Iterator[LaurentPolynomial]:
     """One elimination per row subset gives the minors of all its column
     subsets; lexicographic column subsets delete the last column first."""
-    k = matrix.cols - 1
-    return [
-        minor
-        for rows in combinations(matrix.entries, k)
-        for minor in reversed(laurent_maximal_minors(rows))
-    ]
+    for rows in combinations(matrix.entries, matrix.cols - 1):
+        yield from reversed(laurent_maximal_minors(rows))
 
 
 def _one_minor_certifies(
@@ -208,11 +204,7 @@ def _one_minor_certifies(
         matrix = alexander_matrix(p, weights)
     except MinorBoundError:
         return False
-    return any(
-        unit_equivalent(m, delta)
-        for rows in combinations(matrix.entries, matrix.cols - 1)
-        for m in laurent_maximal_minors(rows)
-    )
+    return any(unit_equivalent(m, delta) for m in _minors(matrix))
 
 
 def _gcd_of_minors(
@@ -223,7 +215,7 @@ def _gcd_of_minors(
     unit multiple of it.  Raises MinorBoundError past the bounds of
     `first_ideal_minors`, and past MAX_MINOR_WORK for the gcd, before it."""
     _check_row_subsets(p)
-    minors = _minors(alexander_matrix(p, weights))
+    minors = list(_minors(alexander_matrix(p, weights)))
     nonzero = [m for m in minors if not m.is_zero()]
     if not nonzero:
         raise FoxInternalError("all Alexander minors vanish, yet H1 has free rank 1")

@@ -189,7 +189,8 @@ _FAMILY_RELATORS = {
 
 
 def family_relator(p: int, q: int) -> Word:
-    """The knot-group relator of K2(p,q); depends only on the parities."""
+    """The knot-group relator of K2(p,q), chosen by the parity of (p, q) as the
+    paper gives it: no per-(p,q) ribbon construction is here to check that."""
     return parse_word(_FAMILY_RELATORS[ParityClass.of(p, q)], _FAMILY_GENERATORS)
 
 
@@ -256,7 +257,8 @@ def per_parity(
     pairs: Iterable[tuple[int, int]], compute: Callable[[int, int], T]
 ) -> Iterator[tuple[int, int, T]]:
     """(p, q, compute(p, q)) for each pair, computed once per parity class:
-    the family's invariants depend on (p,q) only through their parities."""
+    `family_relator` is chosen by the parity of (p, q), as the paper gives it,
+    and no per-(p,q) ribbon construction is here to check that reduction."""
     # keyed on (p % 2, q % 2), not on ParityClass: Enum.__hash__ runs in Python
     by_parity: dict[tuple[int, int], T] = {}
     for p, q in pairs:

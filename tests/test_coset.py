@@ -647,6 +647,11 @@ def trace_replay(table, relators, subgroup):
             raise AssertionError("subgroup word moves the base coset")
 
 
+def replay_rows(table, relators, subgroup):
+    """`_replay` on a table given by its rows, as `trace_replay` reads it."""
+    _replay(list(zip(*table)), relators, subgroup)
+
+
 def accepts(replay, table, relators, subgroup):
     try:
         replay(table, relators, subgroup)
@@ -677,7 +682,7 @@ class TestColumnReplay:
         table = [list(row) for row in outcome.table]
         # valid as enumerated; the extra words need not close on it
         for words in (p.relators, list(p.relators) + extra):
-            assert accepts(_replay, table, words, subgroup) == accepts(
+            assert accepts(replay_rows, table, words, subgroup) == accepts(
                 trace_replay, table, words, subgroup
             )
         # one entry corrupted, within the range of coset numbers
@@ -685,7 +690,7 @@ class TestColumnReplay:
         col = rng.randrange(2 * n)
         table[c][col] = rng.randrange(len(table))
         for sub in (subgroup, extra):
-            assert accepts(_replay, table, p.relators, sub) == accepts(
+            assert accepts(replay_rows, table, p.relators, sub) == accepts(
                 trace_replay, table, p.relators, sub
             )
 
@@ -694,17 +699,17 @@ class TestColumnReplay:
         table = [list(row) for row in enumerate_cosets(p, (), 100).table]
         table[0][0] = 0 if table[0][0] else 1
         with pytest.raises(AssertionError, match="relator does not close"):
-            _replay(table, p.relators, ())
+            _replay(list(zip(*table)), p.relators, ())
         q = cyclic(6)
         table = enumerate_cosets(q, (), 100).table
         with pytest.raises(AssertionError, match="moves the base coset"):
-            _replay(table, q.relators, [q.word("x")])
+            _replay(list(zip(*table)), q.relators, [q.word("x")])
 
     def test_one_coset(self):
         # gathering one coset, where itemgetter alone would return a bare int
         p = Presentation.parse("< x, y | x^2y, xy >")
         outcome = enumerate_cosets(p, [p.word("xY")], 10)
         assert outcome.table == ((0, 0, 0, 0),)
-        _replay(outcome.table, p.relators, [p.word("xY")])
+        _replay(((0,), (0,), (0,), (0,)), p.relators, [p.word("xY")])
         with pytest.raises(AssertionError):
-            _replay(((1, 1), (0, 0)), [Word([1, 1, 1])], ())
+            _replay(((1, 0), (1, 0)), [Word([1, 1, 1])], ())

@@ -30,7 +30,8 @@ from gluckknot.groupring import (
     fox_derivative,
     fundamental_identity_check,
 )
-from gluckknot.intmatrix import IntMatrix, bareiss, cokernel
+from gluckknot.echelon import _echelon
+from gluckknot.intmatrix import IntMatrix, cokernel
 from gluckknot.laurent import (
     LaurentPolynomial,
     divide_exact,
@@ -287,13 +288,13 @@ def laurent_determinant(rows):
     """Oracle: fraction-free Bareiss elimination on the polynomial objects
     themselves, dividing exactly over Z[t, t^-1]; shares no row-shifting
     code with the minors it checks."""
-    det, negated = bareiss(
-        rows,
-        operator.mul,
-        operator.sub,
-        lambda num, den: divide_exact(den, num),
-        LaurentPolynomial.constant(1),
+    one = LaurentPolynomial.constant(1)
+    a, pivots, negated = _echelon(
+        rows, operator.mul, operator.sub, lambda num, den: divide_exact(den, num), one
     )
+    if len(pivots) < len(a):
+        return one - one
+    det = a[-1][-1] if a else one
     return -det if negated else det
 
 
@@ -392,12 +393,13 @@ def wide_laurent_st(draw):
 def test_minors_match_per_minor_oracle(case):
     rows, cols = case
     matrix = AlexanderMatrix(tuple(map(tuple, rows)), weights=(0,) * cols)
-    assert _minors(matrix) == per_minor_oracle(rows, cols)
+    assert list(_minors(matrix)) == per_minor_oracle(rows, cols)
 
 
 def test_minors_of_empty_block():
     # the 0 x 1 matrix has one maximal minor, the empty determinant
-    assert _minors(AlexanderMatrix((), weights=(1,))) == [LaurentPolynomial.constant(1)]
+    minors = list(_minors(AlexanderMatrix((), weights=(1,))))
+    assert minors == [LaurentPolynomial.constant(1)]
 
 
 @settings(max_examples=200, deadline=None)

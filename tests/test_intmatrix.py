@@ -12,7 +12,6 @@ from gluckknot.intmatrix import (
     IntMatrix,
     cokernel,
     determinant,
-    kernel_basis,
     primitive_vector,
     smith_normal_form,
 )
@@ -102,12 +101,12 @@ class TestCokernel:
 
 class TestKernel:
     def test_row_sum_kernel(self):
-        basis = kernel_basis(IntMatrix([[1, 1]]))
+        basis = smith_normal_form(IntMatrix([[1, 1]])).kernel_basis()
         assert len(basis) == 1
         assert primitive_vector(basis[0]) == [1, -1]
 
     def test_difference_kernel(self):
-        basis = kernel_basis(IntMatrix([[1, -1]]))
+        basis = smith_normal_form(IntMatrix([[1, -1]])).kernel_basis()
         assert primitive_vector(basis[0]) == [1, 1]
 
     def test_kernel_vectors_annihilate(self):
@@ -118,7 +117,7 @@ class TestKernel:
                 [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)],
                 cols=cols,
             )
-            for v in kernel_basis(a):
+            for v in smith_normal_form(a).kernel_basis():
                 image = a @ IntMatrix([[x] for x in v], cols=1)
                 assert all(row == [0] for row in image.data)
 
