@@ -21,8 +21,10 @@ from .words import Presentation, TableBudgetError, TrivialityCertificate, Word
 from .words import certify_trivial
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
-# table reach; checked before allocating.  Peak RSS: about 19 bytes an entry
-# on overflow, the worst case (two generators; 320 MB at the limit), 11 on S8.
+# table reach; checked before allocating.  Each column also holds one spare
+# slot, so a table has (max_cosets + 1) * 2g.  Peak RSS: about 19 bytes an
+# entry on overflow, the worst case (two generators; 320 MB at the limit), 11
+# on S8.
 MAX_TABLE_ENTRIES = 1 << 24
 
 
@@ -33,13 +35,15 @@ class _TableOverflow(Exception):
 class CosetTable:
     """Mutable enumeration state, column-major: columns[col][c] is coset c's
     image under column col (2g for generator g, 2g + 1 for its inverse), -1
-    if undefined.  Dead cosets forward to their replacement union-find style;
-    once `coincidence` returns, live rows reference only live cosets, so scans
+    if undefined.  Each column ends in one spare slot past the last coset,
+    always -1, so column[-1] is -1 and a walk that meets a gap stays at -1.
+    Dead cosets forward to their replacement union-find style; once
+    `coincidence` returns, live rows reference only live cosets, so scans
     read them unresolved.  `renumber` ends the table, making it the final one."""
 
     def __init__(self, ngens: int, max_cosets: int):
         self.max_cosets = max_cosets
-        self.columns: list[list[int]] = [[-1] for _ in range(2 * ngens)]
+        self.columns: list[list[int]] = [[-1, -1] for _ in range(2 * ngens)]
         self.parent: list[int] = [0]
         # each column with the column of the inverse letter
         self.pairs = [(c, self.columns[k ^ 1]) for k, c in enumerate(self.columns)]
@@ -120,6 +124,9 @@ class CosetTable:
         order, defining cosets at the first gap of each until it closes or
         deduces; stops early when a coincidence kills `start`.
 
+        Each word is first walked without an index, through the spare slot
+        once it meets a gap; only a word that does not close is walked again
+        with the index, to its first gap, and then scanned backward.
         Defining fills one gap and changes no other entry: the backward scan
         resumes where it stopped, and the forward one stops at the next
         letter, since the new coset's only entry is the inverse of the letter
@@ -127,21 +134,23 @@ class CosetTable:
         """
         parent, columns, limit = self.parent, self.columns, self.max_cosets
         for cols, back in words:
-            length = len(cols)
-            f, i = start, 0
-            while i < length:
-                d = cols[i][f]
-                if d < 0:
-                    break
-                f = d
-                i += 1
-            else:  # the word closes from start
+            f = start
+            for column in cols:  # past a gap f is -1, and column[-1] is -1
+                f = column[f]
+            if f >= 0:  # the word closes from start
                 if f != start:
                     self.coincidence(f, start)
                     if parent[start] != start:
                         return
                 continue
-            b, j = start, length - 1
+            f, i = start, 0
+            while True:  # the walk again, to the first gap
+                d = cols[i][f]
+                if d < 0:
+                    break
+                f = d
+                i += 1
+            b, j = start, len(cols) - 1
             while True:
                 while j >= i:
                     d = back[j][b]

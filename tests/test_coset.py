@@ -457,6 +457,17 @@ class TestAgainstSeedTable:
     def test_bound_is_total_cosets_defined(self, max_cosets):
         assert_matches_seed(dihedral(6), (), max_cosets)
 
+    # cosets HLT defines before each group closes: the least bound that works
+    @pytest.mark.parametrize(
+        "name,rank,m,order", COXETER_CORPUS, ids=[c[0] for c in COXETER_CORPUS]
+    )
+    def test_overflow_edge(self, name, rank, m, order):
+        defined = {"A4": 217, "A5": 1493, "F4": 2167, "A6": 11894, "H4": 30876}
+        p = coxeter(rank, m)
+        outcome = enumerate_cosets(p, (), defined[name])
+        assert outcome.finite and outcome.order == order
+        assert not enumerate_cosets(p, (), defined[name] - 1).finite
+
     @pytest.mark.parametrize("max_cosets", [2, 3])
     def test_bound_reached_in_fill_loop(self, max_cosets):
         # Z/2 as <x, y | Yx, xy>: the scans from coset 0 define coset 1, and
@@ -477,6 +488,23 @@ class TestAgainstSeedTable:
         )
     )
     def test_random_presentations(self, case):
+        n, relators, subgroup, max_cosets = case
+        p = Presentation(list("xyz"[:n]), relators)
+        assert_matches_seed(p, subgroup, max_cosets)
+
+    # long words leave gaps far from either end, where the scans walk again
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(word_on(n, 16), min_size=1, max_size=3),
+                st.lists(word_on(n, 16), max_size=2),
+                st.sampled_from([50, 400, 2000]),
+            )
+        )
+    )
+    def test_random_long_words(self, case):
         n, relators, subgroup, max_cosets = case
         p = Presentation(list("xyz"[:n]), relators)
         assert_matches_seed(p, subgroup, max_cosets)
@@ -546,9 +574,17 @@ class TestFinalTable:
         assert peak < mib * 2**20
 
 
+def assert_spare_slots(table):
+    # one -1 slot past the last coset ends every column
+    for column in table.columns:
+        assert len(column) == len(table.parent) + 1 and column[-1] == -1
+
+
 class TestLiveRowsAfterCoincidence:
     """The scans read table entries without resolving them, which is sound
-    only if no live row references a dead coset once `coincidence` returns."""
+    only if no live row references a dead coset once `coincidence` returns.
+    The forward walks run through gaps unchecked, which is sound only if
+    every column ends in a spare slot holding -1."""
 
     @pytest.mark.parametrize(
         "p,max_cosets",
@@ -566,10 +602,41 @@ class TestLiveRowsAfterCoincidence:
                 if parent[c] == c:
                     for e in (column[c] for column in self.columns):
                         assert e < 0 or parent[e] == e, (c, e)
+            assert_spare_slots(self)
 
         monkeypatch.setattr(CosetTable, "coincidence", checked)
         enumerate_cosets(p, (), max_cosets)
         assert calls
+
+    @pytest.mark.parametrize(
+        "p,subgroup,max_cosets,order",
+        [
+            (A5, (), 60000, 720),
+            # <s0 s1> has order 5: the first scan, from coset 0, defines
+            (H4, [Word([1, 2])], 60000, 2880),
+            (TRIANGLE_237, (), 2000, None),
+        ],
+        ids=["A5", "H4-subgroup", "237-overflow"],
+    )
+    def test_spare_slot_after_each_scan(
+        self, monkeypatch, p, subgroup, max_cosets, order
+    ):
+        calls = []  # (start, cosets defined) after each scan
+        scan_and_fill = CosetTable.scan_and_fill
+
+        def checked(self, start, words):
+            try:
+                scan_and_fill(self, start, words)
+            finally:
+                calls.append((start, len(self.parent)))
+                assert_spare_slots(self)
+
+        monkeypatch.setattr(CosetTable, "scan_and_fill", checked)
+        outcome = enumerate_cosets(p, subgroup, max_cosets)
+        assert outcome.order == order
+        # the subgroup words are scanned from coset 0 first, defining if any
+        assert calls[0][0] == calls[1][0] == 0 and len(calls) > 2
+        assert (calls[0][1] > 1) == bool(subgroup)
 
 
 Z2 = Presentation.parse("< x, y | xyXY >")
