@@ -1,0 +1,60 @@
+"""`gluckknot gluck`: the Gluck twist pipeline, the quotient's pi1 and the
+handle counts."""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .cli_common import PreconditionError, UsageError, parse_presentation
+
+
+def cmd_gluck(args) -> tuple[dict | None, Iterable[str]]:
+    from .words import PresentationError, TableBudgetError, certify_trivial
+
+    p = parse_presentation(args.presentation)
+    try:
+        quotient = p.kill_generator(args.kill)
+    except PresentationError as exc:
+        raise PreconditionError(str(exc)) from exc
+    try:
+        cert = certify_trivial(quotient, args.max_cosets)
+    except TableBudgetError as exc:
+        raise UsageError(str(exc)) from exc
+    payload: dict = {
+        "input": str(p),
+        "kill": args.kill,
+        "variant": args.variant,
+        "quotient": str(quotient),
+        "pi1": cert.status,
+        "pi1_order": cert.order,
+    }
+    order = f" (order {cert.order})" if cert.order and not cert.trivial else ""
+    lines = [
+        f"input: {p}",
+        f"kill: {args.kill}",
+        f"quotient: {quotient}",
+        f"pi1: {cert.status}{order}",
+        f"variant: {args.variant}",
+    ]
+    if args.bands is not None:
+        from .twoknot import (
+            GluckVariant,
+            InvalidRibbonError,
+            complement_handle_counts,
+            gluck_handle_counts,
+        )
+
+        m, n = args.bands
+        try:
+            before = complement_handle_counts(m, n)
+            after = gluck_handle_counts(before, GluckVariant(args.variant))
+        except InvalidRibbonError as exc:
+            raise PreconditionError(str(exc)) from exc
+        chi = [before.euler_characteristic, after.euler_characteristic]
+        payload["handle_counts"] = {
+            "complement": list(before.as_tuple()),
+            "gluck": list(after.as_tuple()),
+            "chi": chi,
+        }
+        lines += [f"counts: {before} -> {after}", f"chi: {chi[0]} -> {chi[1]}"]
+    return payload, lines

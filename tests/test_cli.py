@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gluckknot import __version__, cli, twoknot
-from gluckknot.cli import MAX_GRID_RECORDS, main
+from gluckknot import __version__, cli, cli_common, cli_family, twoknot
+from gluckknot.cli import MAX_GRID_RECORDS, _read, main
+from gluckknot.cli_argparse import build_parser
+from gluckknot.cli_common import UsageError
 from gluckknot.coset import MAX_TABLE_ENTRIES, certify_trivial
 from gluckknot.fox import alexander_polynomial
 from gluckknot.intmatrix import IntMatrix, cokernel
@@ -196,7 +199,7 @@ class TestFamily:
         assert code == 1
 
     def test_grid_at_record_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_GRID_RECORDS", 6)
+        monkeypatch.setattr(cli_family, "MAX_GRID_RECORDS", 6)
         code, out, _ = run(capsys, "family", "--grid", "0..1", "-1..1", "--json")
         assert code == 0 and len(out.splitlines()) == 6
         code, out, err = run(capsys, "family", "--grid", "0..0", "-3..3", "--json")
@@ -229,7 +232,7 @@ def family_row(record):
     hc = flat.pop("handle_counts")
     for key in ("complement", "gluck_single", "gluck_double"):
         flat[f"handle_counts_{key}"] = ",".join(str(h) for h in hc[key])
-    return [str(flat[c]) for c in cli._FAMILY_COLUMNS]
+    return [str(flat[c]) for c in cli_family.FAMILY_COLUMNS]
 
 
 def family_stdout(pairs, mode):
@@ -239,13 +242,13 @@ def family_stdout(pairs, mode):
     pytest minutes."""
     records = [family_record(p, q) for p, q in pairs]
     if mode == "--json":
-        reports = (cli._report("family", record) for record in records)
+        reports = (cli_common.report("family", record) for record in records)
         return [json.dumps(r, sort_keys=True) + "\n" for r in reports]
     if mode == "--tsv" or len(records) > 1:
-        rows = [cli._FAMILY_COLUMNS, *map(family_row, records)]
+        rows = [cli_family.FAMILY_COLUMNS, *map(family_row, records)]
         return ["\t".join(row) + "\n" for row in rows]
     (record,) = records
-    lines = [f"{key}: {record[key]}\n" for key in cli._FAMILY_COLUMNS[:9]]
+    lines = [f"{key}: {record[key]}\n" for key in cli_family.FAMILY_COLUMNS[:9]]
     lines += [
         f"handle_counts.{key}: ({','.join(str(h) for h in counts)})\n"
         for key, counts in record["handle_counts"].items()
@@ -405,8 +408,9 @@ class TestFamilyStreams:
         (("family", "--grid", "0..99", "0..999", "--tsv"), 1),
         (("family", "--grid", "0..99", "0..999", "--json"), 1),
         (("enum", "<x | x^3>"), 0),  # all of it still buffered when the pipe closes
+        (("--version",), 0),
     ],
-    ids=["tsv", "json", "buffered"],
+    ids=["tsv", "json", "buffered", "version"],
 )
 def test_closed_pipe_ends_quietly(argv, read):
     # `gluckknot family --grid ... | head -1`: exit 0, no traceback
@@ -661,15 +665,16 @@ def fuzz_command():
     ).map(lambda parts: [arg for part in parts for arg in part])
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        fuzz_command(),
-        st.builds(lambda a, b: a + b, fuzz_command(), st.lists(FUZZ_TOKEN, max_size=3)),
-        st.lists(FUZZ_TOKEN, max_size=8),
-    ),
-    st.integers(min_value=1, max_value=200),
+# a well-formed line, one with junk after it, or junk alone
+FUZZ_ARGV = st.one_of(
+    fuzz_command(),
+    st.builds(lambda a, b: a + b, fuzz_command(), st.lists(FUZZ_TOKEN, max_size=3)),
+    st.lists(FUZZ_TOKEN, max_size=8),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(FUZZ_ARGV, st.integers(min_value=1, max_value=200))
 def test_cli_fuzz(argv, bound):
     """Any argv ends in a documented exit code, 0-2, without a traceback and
     in bounded time; a small coset bound comes last, so it wins."""
@@ -684,3 +689,127 @@ def test_cli_fuzz(argv, bound):
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert time.perf_counter() - start < 10.0
+
+
+def parse_with_argparse(argv):
+    """vars() of the namespace argparse makes of `argv`, or None for a line
+    it refuses, or answers with help or the version."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except (UsageError, SystemExit):
+        return None
+
+
+# every option string of the CLI, spelled out in full
+FULL_OPTIONS = {
+    "--json",
+    "--tsv",
+    "--max-cosets",
+    "--max",
+    "--grid",
+    "--kill",
+    "--bands",
+    "--variant",
+    "--subgroup",
+}
+
+
+def check_reader(argv):
+    """The reader of cli.py against argparse: a line it accepts must give
+    argparse's namespace, func and subcommand included, and it may decline a
+    line that argparse accepts only for a dash word that is neither a value
+    (a lone dash, or a dash and a decimal digit) nor an option spelled out in
+    full.  Returns whether the reader accepted `argv`."""
+    got = _read(list(argv))
+    want = parse_with_argparse(list(argv))
+    if got is not None:
+        assert vars(got) == want
+    elif want is not None:
+        dash_words = [w for w in argv[1:] if w.startswith("-") and w != "-"]
+        assert not all(w in FULL_OPTIONS or re.match(r"-\d", w) for w in dash_words)
+    return got is not None
+
+
+class TestReaderMatchesArgparse:
+    @settings(max_examples=400, deadline=None)
+    @given(FUZZ_ARGV)
+    def test_fuzz(self, argv):
+        event(f"accepted {check_reader(argv)}")
+
+    @pytest.mark.parametrize(
+        "argv,accepted",
+        [
+            (["family", "1", "--json", "2"], False),  # argparse: unrecognized 2
+            (["family", "--json", "1", "2"], True),
+            (["family", "1", "2", "--json"], True),
+            (["family", "1"], True),  # q is None; cmd_family refuses it
+            (["family"], True),
+            (["family", "1", "2", "3"], False),
+            (["family", "-3", "4"], True),
+            (["family", "\u0663", "-\u0663"], True),  # Arabic-Indic 3 is a \d
+            (["enum", "-\u00b2"], False),  # superscript 2 is not: an option string
+            (["enum", "<x | x^3>", "--subgroup", "-\u00b2"], False),
+            (["family", "--grid", "-2..2", "-2..2"], True),
+            (["family", "--grid", "-2..2"], False),
+            (["family", "--grid", "a", "b", "--tsv", "--json"], True),
+            (["enum", "<x | x^3>", "--subgroup", ""], True),
+            (["enum", "<x | x^3>", "--subgroup", "-x"], False),
+            (["enum", "<x | x^3>", "--subgroup", "-"], True),
+            (["enum", "-"], True),
+            (["enum", "<x | x^3>", "extra"], False),
+            (["enum", "--json"], False),  # no presentation
+            (["enum", "<x | x^3>", "--max", "50", "--max-cosets", "70"], True),
+            (["enum", "<x | x^3>", "--max", "ten"], False),
+            (["enum", "<x | x^3>", "--max", "ten", "--max", "5"], False),
+            (["enum", "<x | x^3>", "--max", "0"], False),
+            (["enum", "<x | x^3>", "--max"], False),
+            (["gluck", "<x, y | xyXY>", "--kill", "x", "--bands", "1", "-1"], True),
+            (["gluck", "<x, y | xyXY>", "--kill", "x", "--kill", "y"], True),
+            (["gluck", "<x, y | xyXY>", "--kill", "-"], True),
+            (["gluck", "<x, y | xyXY>", "--kill", "x", "--bands", "1", "x"], False),
+            (["gluck", "<x, y | xyXY>", "--kill", "x", "--variant", "double"], True),
+            (["gluck", "<x, y | xyXY>", "--kill", "x", "--variant", "triple"], False),
+            (["gluck", "<x, y | xyXY>"], False),  # --kill is required
+            (["alex", "<x | >", "--max-cosets=5"], False),
+            (["alex", "<x | >", "--js"], False),
+            (["alex", "<x | >", "-h"], False),
+            (["alex", "<x | >", "--"], False),
+            (["--version"], False),  # main prints it before any parser
+            (["nonsense"], False),
+            ([], False),
+        ],
+    )
+    def test_corner(self, argv, accepted):
+        assert check_reader(argv) is accepted
+
+
+@pytest.mark.parametrize(
+    "subcommand", [(), ("alex",), ("family",), ("gluck",), ("enum",)]
+)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero_with_usage(capsys, subcommand, flag):
+    # argparse prints help and exits; in a process the exit code is 0
+    with pytest.raises(SystemExit) as exc:
+        main([*subcommand, flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gluckknot")
+
+
+@pytest.mark.parametrize(
+    "spelling,full",
+    [
+        (["--max-c", "5"], ["--max-cosets", "5"]),
+        (["--max-cosets=5"], ["--max-cosets", "5"]),
+        (["--js"], ["--json"]),
+    ],
+)
+def test_argparse_spelling_matches_the_full_one(capsys, spelling, full):
+    # the reader declines an abbreviation or --opt=value; argparse takes it
+    argv = ["enum", "<x, y | xyXY>", *spelling]
+    assert _read(argv) is None
+    assert run(capsys, *argv) == run(capsys, "enum", "<x, y | xyXY>", *full)
+
+
+def test_version_in_process(capsys):
+    assert run(capsys, "--version") == (0, f"{__version__}\n", "")

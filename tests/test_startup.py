@@ -28,9 +28,10 @@ finally:
 """
 
 
-def run_cli(*argv):
+def run_cli(*argv, code=0):
     """The modules loaded at the exit of `python -m gluckknot.cli ARGV` (the
-    CLI module itself runs as __main__), and its stdout."""
+    CLI module itself runs as __main__), its stdout and the rest of its
+    stderr; the call must exit with `code`."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", RUN_CLI, *argv],
@@ -39,10 +40,10 @@ def run_cli(*argv):
         env=env,
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stderr.splitlines()[-1].split()
-    assert last[0] == "modules:", proc.stderr
-    return set(last[1:]), proc.stdout
+    assert proc.returncode == code, proc.stderr
+    *rest, last = proc.stderr.splitlines(True)
+    assert last.startswith("modules: "), proc.stderr
+    return set(last.split()[1:]), proc.stdout, "".join(rest)
 
 
 def imported_modules(*argv):
@@ -55,49 +56,69 @@ def loaded_modules(*argv):
     return {n for n in names if n == "json" or n.split(".")[0] == "gluckknot"}
 
 
+# every call loads cli_common, which the front shares with the subcommand
+# handlers and the argparse fallback, and each subcommand its own handler
+FRONT_MODULES = {"gluckknot", "gluckknot.cli_common"}
+
 # coset runs the rank check of echelon before any table
-ENUM_MODULES = {
-    "gluckknot",
-    "gluckknot.words",
-    "gluckknot.echelon",
-    "gluckknot.coset",
-}
+TABLE_MODULES = {"gluckknot.words", "gluckknot.echelon", "gluckknot.coset"}
+ENUM_MODULES = FRONT_MODULES | TABLE_MODULES | {"gluckknot.cli_enum"}
 
 # H1 from the Smith form of intmatrix, Delta from the one elimination of fox;
 # neither the row-subset path (minors), the ZF calculus (groupring) nor the
 # determinant (echelon)
-ALEX_MODULES = {
-    "gluckknot",
+ALEX_LIBRARY = {
     "gluckknot.words",
     "gluckknot.intmatrix",
     "gluckknot.laurent",
     "gluckknot.fox",
 }
+ALEX_MODULES = FRONT_MODULES | ALEX_LIBRARY | {"gluckknot.cli_alex"}
 
 # every family quotient simplifies to < | >, certified in words without coset
-FAMILY_MODULES = ALEX_MODULES | {"gluckknot.twoknot"}
+FAMILY_MODULES = (
+    FRONT_MODULES | ALEX_LIBRARY | {"gluckknot.twoknot", "gluckknot.cli_family"}
+)
 
 # a gluck quotient that simplifies to < | > needs no table, so no coset
-TRIVIAL_GLUCK_MODULES = {"gluckknot", "gluckknot.words"}
+GLUCK_MODULES = FRONT_MODULES | {"gluckknot.cli_gluck"}
+TRIVIAL_GLUCK_MODULES = GLUCK_MODULES | {"gluckknot.words"}
 
 
-@pytest.mark.parametrize(
-    "argv,modules",
-    [
-        (("--version",), {"gluckknot"}),
-        (("enum", "<x | x^3>"), ENUM_MODULES),
-        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), TRIVIAL_GLUCK_MODULES),
-        (("alex", "<x, y | xyxYXY>"), ALEX_MODULES),
-        (("family", "1", "2"), FAMILY_MODULES),
-        (("family", "1", "2", "--tsv"), FAMILY_MODULES),
-        (("family", "--grid", "0..1", "0..1"), FAMILY_MODULES),
-        (("family", "--grid", "0..1", "0..1", "--json"), FAMILY_MODULES | {"json"}),
-        # the quotient < y | > keeps a generator, so certify_trivial builds a table
-        (("gluck", "<x, y | xyXY>", "--kill", "x"), ENUM_MODULES),
-    ],
-)
+WELL_FORMED = [
+    (("--version",), FRONT_MODULES),
+    (("enum", "<x | x^3>"), ENUM_MODULES),
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), TRIVIAL_GLUCK_MODULES),
+    (("alex", "<x, y | xyxYXY>"), ALEX_MODULES),
+    (("family", "1", "2"), FAMILY_MODULES),
+    (("family", "1", "2", "--tsv"), FAMILY_MODULES),
+    (("family", "--grid", "0..1", "0..1"), FAMILY_MODULES),
+    (("family", "--grid", "0..1", "0..1", "--json"), FAMILY_MODULES | {"json"}),
+    # the quotient < y | > keeps a generator, so certify_trivial builds a table
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), GLUCK_MODULES | TABLE_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv,modules", WELL_FORMED)
 def test_subcommand_loads_only_what_it_runs(argv, modules):
     assert loaded_modules(*argv) == modules
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in WELL_FORMED])
+def test_well_formed_line_never_imports_argparse(argv):
+    # the reader of cli.py parses it: importing argparse (which loads gettext
+    # and locale) and building its parsers took some 4 ms a call
+    names = imported_modules(*argv)
+    assert not {"argparse", "gettext", "locale", "gluckknot.cli_argparse"} & names
+
+
+def test_declined_line_loads_the_argparse_fallback():
+    argv = ["enum", "<x | x^3>", "--max", "ten"]
+    names, stdout, stderr = run_cli(*argv, code=1)
+    assert {"argparse", "gluckknot.cli_argparse"} <= names
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    case = next(case for case in golden if case["argv"] == argv)
+    assert (stdout, stderr) == (case["stdout"], case["stderr"])
 
 
 def ast_nodes(module):
@@ -110,6 +131,8 @@ def ast_nodes(module):
 # cli.py and each module it loads from source, at 1-2 us per AST node
 # (in-process compile(), best of 40, 2 cores): 0.45 ms for echelon, 2.6-2.9 ms
 # for words, coset or laurent.  Cold code dragged onto a main path shows here.
+# Each group of caps below was the tightest when it was added; the earlier
+# groups stay as cases.
 @pytest.mark.parametrize(
     "argv,budget",
     [
@@ -129,6 +152,13 @@ def ast_nodes(module):
         (("gluck", "<x, y | xyXY>", "--kill", "x"), 6800),
         (("alex", "<x, y | xyxYXY>"), 10250),
         (("family", "--grid", "0..1", "0..1", "--json"), 11950),
+        # the caps since a well-formed line is read without argparse and each
+        # subcommand compiles only its own handler module, cli_<name>
+        (("enum", "<x | x^3>"), 6000),
+        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3700),
+        (("gluck", "<x, y | xyXY>", "--kill", "x"), 6100),
+        (("alex", "<x, y | xyxYXY>"), 9350),
+        (("family", "--grid", "0..1", "0..1", "--json"), 11550),
     ],
 )
 def test_subcommand_compiles_within_budget(argv, budget):
@@ -139,7 +169,7 @@ def test_subcommand_compiles_within_budget(argv, budget):
 def test_torsion_takes_the_row_subset_path():
     # H1 = Z + Z/2: Delta is the gcd of the minors, from the minors module
     argv = ["alex", "<x,y | y^2>"]
-    names, stdout = run_cli(*argv)
+    names, stdout, _ = run_cli(*argv)
     assert "gluckknot.minors" in names and "gluckknot.groupring" not in names
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     assert stdout == next(case["stdout"] for case in golden if case["argv"] == argv)
