@@ -8,7 +8,7 @@ so a CLI subcommand pays at start-up only for the modules it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "coset": ("EnumerationOutcome", "enumerate_cosets"),
+    "coset": ("EnumerationOutcome", "coset_index", "enumerate_cosets"),
     "fox": (
         "AlexanderResult",
         "OrientationError",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import re
+import sys
 
 from . import __version__
 from .cli_alex import cmd_alex
@@ -32,6 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # -h and --version print to stdout, then exit: flushed here, a closed
+        # pipe raises inside main's try rather than at interpreter exit
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def build_parser() -> _Parser:

@@ -8,7 +8,7 @@ from .cli_common import UsageError, parse_presentation
 
 
 def cmd_enum(args) -> tuple[dict | None, Iterable[str]]:
-    from .coset import TableBudgetError, enumerate_cosets
+    from .coset import TableBudgetError, coset_index
     from .words import WordSyntaxError
 
     p = parse_presentation(args.presentation)
@@ -23,20 +23,18 @@ def cmd_enum(args) -> tuple[dict | None, Iterable[str]]:
             except WordSyntaxError as exc:
                 raise UsageError(f"bad subgroup word {text!r}: {exc}") from exc
     try:
-        outcome = enumerate_cosets(p, subgroup, args.max_cosets)
+        order = coset_index(p, subgroup, args.max_cosets)  # None if not finite
     except TableBudgetError as exc:
         raise UsageError(str(exc)) from exc
     payload = {
         "input": str(p),
         "subgroup": [p.word_str(w) for w in subgroup],
-        "finite": outcome.finite,
-        "order": outcome.order,
-        "max_cosets": outcome.max_cosets,
+        "finite": order is not None,
+        "order": order,
+        "max_cosets": args.max_cosets,
     }
     lines = [f"input: {p}"]
     if subgroup:
         lines.append(f"subgroup: {', '.join(payload['subgroup'])}")
-    lines.append(
-        f"order: {outcome.order}" if outcome.finite else f"exceeded: {outcome.max_cosets}"
-    )
+    lines.append(f"exceeded: {args.max_cosets}" if order is None else f"order: {order}")
     return payload, lines

@@ -21,11 +21,13 @@ from .words import Presentation, TableBudgetError, TrivialityCertificate, Word
 from .words import certify_trivial
 
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
-# table reach; checked before allocating.  Each column also holds one spare
-# slot, so a table has (max_cosets + 1) * 2g.  Peak RSS: about 19 bytes an
-# entry on overflow, the worst case (two generators; 320 MB at the limit), 11
-# on S8.
+# table reach; checked before allocating.  Columns grow in blocks but never
+# past one spare slot beyond max_cosets, so a table holds at most
+# (max_cosets + 1) * 2g entries.  Peak RSS: about 19 bytes an entry on
+# overflow, the worst case (two generators; 320 MB at the limit), 11 on S8.
 MAX_TABLE_ENTRIES = 1 << 24
+# the -1 slots a column grows by when a new coset takes its last slot
+BLOCK = (-1,) * 1024
 
 
 class _TableOverflow(Exception):
@@ -35,11 +37,13 @@ class _TableOverflow(Exception):
 class CosetTable:
     """Mutable enumeration state, column-major: columns[col][c] is coset c's
     image under column col (2g for generator g, 2g + 1 for its inverse), -1
-    if undefined.  Each column ends in one spare slot past the last coset,
-    always -1, so column[-1] is -1 and a walk that meets a gap stays at -1.
-    Dead cosets forward to their replacement union-find style; once
-    `coincidence` returns, live rows reference only live cosets, so scans
-    read them unresolved.  `renumber` ends the table, making it the final one."""
+    if undefined.  Every slot past the last coset is -1 and each column has
+    at least one, so column[-1] is -1 and a walk that meets a gap stays at
+    -1.  Columns grow by a block of BLOCK slots when a new coset takes the
+    last one (`grow`), to at most max_cosets + 1 slots.  Dead cosets forward
+    to their replacement union-find style; once `coincidence` returns, live
+    rows reference only live cosets, so scans read them unresolved.
+    `renumber` ends the table, making it the final one."""
 
     def __init__(self, ngens: int, max_cosets: int):
         self.max_cosets = max_cosets
@@ -62,9 +66,9 @@ class CosetTable:
     def bind(self, word: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
         """Forward and inverse column lists of a word's letters.  Scans take
         them bound, so an enumeration binds each relator once."""
-        columns = self.columns
         cols, back = self.compile(word)
-        return tuple(columns[c] for c in cols), tuple(columns[c] for c in back)
+        column = self.columns.__getitem__
+        return tuple(map(column, cols)), tuple(map(column, back))
 
     def rep(self, c: int) -> int:
         parent = self.parent
@@ -124,15 +128,17 @@ class CosetTable:
         order, defining cosets at the first gap of each until it closes or
         deduces; stops early when a coincidence kills `start`.
 
-        Each word is first walked without an index, through the spare slot
-        once it meets a gap; only a word that does not close is walked again
-        with the index, to its first gap, and then scanned backward.
+        Each word is first walked without an index, through column[-1], a
+        slot past the last coset, once it meets a gap; only a word that does
+        not close is walked again with the index, to its first gap, and then
+        scanned backward.
         Defining fills one gap and changes no other entry: the backward scan
         resumes where it stopped, and the forward one stops at the next
         letter, since the new coset's only entry is the inverse of the letter
-        that defined it.
+        that defined it.  A new coset that takes the last slot of the columns
+        grows them first, or overflows at max_cosets.
         """
-        parent, columns, limit = self.parent, self.columns, self.max_cosets
+        parent = self.parent
         for cols, back in words:
             f = start
             for column in cols:  # past a gap f is -1, and column[-1] is -1
@@ -166,17 +172,25 @@ class CosetTable:
                     back[i][b] = f
                     break
                 d = len(parent)
-                if d >= limit:
-                    raise _TableOverflow
+                column = cols[i]
+                if d + 1 == len(column):  # d takes the last slot
+                    self.grow(d)
                 parent.append(d)
-                for entries in columns:
-                    entries.append(-1)
-                cols[i][f] = d
+                column[f] = d
                 back[i][d] = f
                 f = d
                 i += 1
             if parent[start] != start:
                 return
+
+    def grow(self, d: int) -> None:
+        """Make room past coset d, which takes the last slot of every column:
+        extend each by a block of -1 slots, never past max_cosets + 1 slots.
+        Raises _TableOverflow instead when d would pass the bound."""
+        if d >= self.max_cosets:
+            raise _TableOverflow
+        for column in self.columns:
+            column.extend(BLOCK[: self.max_cosets - d])
 
     def complete(self) -> Optional[list[int]]:
         """The live cosets, or None while an entry of a live row is
@@ -205,7 +219,9 @@ class CosetTable:
 
 class EnumerationOutcome(NamedTuple):
     """Result of a bounded enumeration.  `order` is the subgroup index (the
-    group order for the trivial subgroup) and is set only when finite."""
+    group order for the trivial subgroup) and is set only when finite, and
+    `table` then holds the rows of the final table.  `coset_index` reports
+    the same order without building those rows."""
 
     finite: bool
     order: Optional[int]
@@ -245,6 +261,56 @@ def _replay(
             raise AssertionError("subgroup word moves the base coset")
 
 
+def _final_columns(
+    p: Presentation, subgroup_words: Sequence[Word], max_cosets: int
+) -> Optional[list[tuple[int, ...]]]:
+    """The columns of the final table of `enumerate_cosets`, cosets
+    renumbered 0..n-1 and replayed, or None where it reports not finite."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be at least 1")
+    if max_cosets * 2 * p.ngens > MAX_TABLE_ENTRIES:
+        raise TableBudgetError(
+            f"max_cosets {max_cosets} times {2 * p.ngens} table columns exceeds "
+            f"the budget of {MAX_TABLE_ENTRIES} table entries"
+        )
+    for w in subgroup_words:
+        if w.max_generator() >= p.ngens:
+            raise ValueError(f"subgroup word {w!r} uses an unknown generator")
+    sums = p.exponent_matrix() + [w.exponent_sums(p.ngens) for w in subgroup_words]
+    if rank(sums) < p.ngens:
+        return None
+    ct = CosetTable(p.ngens, max_cosets)
+    parent, pairs = ct.parent, ct.pairs
+    relators = [ct.bind(r) for r in p.relators]
+    scan = ct.scan_and_fill
+    try:
+        scan(0, [ct.bind(w) for w in subgroup_words])
+        live = None
+        while live is None:
+            # the list iterator also visits cosets defined while it runs
+            for alpha, root in enumerate(parent):
+                if root == alpha:
+                    scan(alpha, relators)
+                    if parent[alpha] == alpha:
+                        for column, inverse in pairs:
+                            if column[alpha] < 0:
+                                d = len(parent)
+                                if d + 1 == len(column):  # d takes the last slot
+                                    ct.grow(d)
+                                parent.append(d)
+                                column[alpha] = d
+                                inverse[d] = alpha
+            # a late coincidence can clear an entry of an earlier live row
+            live = ct.complete()
+    except _TableOverflow:
+        return None
+    pairs = relators = column = inverse = None  # renumber frees columns
+    final = ct.renumber(live)
+    del ct, parent, scan  # free the index before the replay
+    _replay(final, p.relators, subgroup_words)
+    return final
+
+
 def enumerate_cosets(
     p: Presentation,
     subgroup_words: Sequence[Word] = (),
@@ -265,52 +331,20 @@ def enumerate_cosets(
     ngens the index is infinite, no table can close, and the outcome is the
     overflow one, returned without building a table.
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
-    if max_cosets * 2 * p.ngens > MAX_TABLE_ENTRIES:
-        raise TableBudgetError(
-            f"max_cosets {max_cosets} times {2 * p.ngens} table columns exceeds "
-            f"the budget of {MAX_TABLE_ENTRIES} table entries"
-        )
-    for w in subgroup_words:
-        if w.max_generator() >= p.ngens:
-            raise ValueError(f"subgroup word {w!r} uses an unknown generator")
-    sums = p.exponent_matrix() + [w.exponent_sums(p.ngens) for w in subgroup_words]
-    if rank(sums) < p.ngens:
-        return EnumerationOutcome(finite=False, order=None, max_cosets=max_cosets)
-    ct = CosetTable(p.ngens, max_cosets)
-    parent, columns, pairs = ct.parent, ct.columns, ct.pairs
-    relators = [ct.bind(r) for r in p.relators]
-    scan = ct.scan_and_fill
-    try:
-        scan(0, [ct.bind(w) for w in subgroup_words])
-        live = None
-        while live is None:
-            # the list iterator also visits cosets defined while it runs
-            for alpha, root in enumerate(parent):
-                if root == alpha:
-                    scan(alpha, relators)
-                    if parent[alpha] == alpha:
-                        for column, inverse in pairs:
-                            if column[alpha] < 0:
-                                d = len(parent)
-                                if d >= max_cosets:
-                                    raise _TableOverflow
-                                parent.append(d)
-                                for entries in columns:
-                                    entries.append(-1)
-                                column[alpha] = d
-                                inverse[d] = alpha
-            # a late coincidence can clear an entry of an earlier live row
-            live = ct.complete()
-    except _TableOverflow:
-        return EnumerationOutcome(finite=False, order=None, max_cosets=max_cosets)
-    pairs = relators = column = inverse = entries = None  # renumber frees columns
-    final = ct.renumber(live)
-    del ct, parent, columns, scan  # free the index before the rows
-    _replay(final, p.relators, subgroup_words)
+    final = _final_columns(p, subgroup_words, max_cosets)
+    if final is None:
+        return EnumerationOutcome(False, None, max_cosets)
     # with no generators there are no columns, and coset 0 is the only one
     table = tuple(zip(*final)) or ((),)
-    return EnumerationOutcome(
-        finite=True, order=len(table), max_cosets=max_cosets, table=table
-    )
+    return EnumerationOutcome(True, len(table), max_cosets, table)
+
+
+def coset_index(
+    p: Presentation,
+    subgroup_words: Sequence[Word] = (),
+    max_cosets: int = 10000,
+) -> Optional[int]:
+    """The index `enumerate_cosets` reports, None where it reports not
+    finite, read off the final columns without building the rows."""
+    final = _final_columns(p, subgroup_words, max_cosets)
+    return None if final is None else len(final[0]) if final else 1

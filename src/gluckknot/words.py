@@ -74,9 +74,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __repr__(self) -> str:
         return f"Word({list(self.letters)!r})"
 
@@ -135,7 +132,7 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
                 pos += 1
             while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
-            if pos == start or (pos == start + 1 and text[start] == "-"):
+            if text[start:pos] in ("", "-"):
                 raise WordSyntaxError("missing exponent after '^'", start)
             try:
                 exponent = int(text[start:pos])
@@ -145,10 +142,7 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
             raise WordSyntaxError(
                 f"word longer than {MAX_WORD_LETTERS} letters", letter_pos
             )
-        if exponent >= 0:
-            letters.extend([letter] * exponent)
-        else:
-            letters.extend([-letter] * (-exponent))
+        letters.extend([letter if exponent >= 0 else -letter] * abs(exponent))
     return Word(letters)
 
 
@@ -233,16 +227,11 @@ class Presentation:
         """
         k = self.generator_index(name)
         new_gens = self.generators[:k] + self.generators[k + 1 :]
-
-        def remap(a: int) -> int:
-            g = abs(a) - 1
-            g2 = g if g < k else g - 1
-            return (g2 + 1) * (1 if a > 0 else -1)
-
+        killed = k + 1  # its letter; those of later generators move down one
         new_relators = []
         for r in self.relators:
-            kept = [remap(a) for a in r.letters if abs(a) - 1 != k]
-            w = Word(kept)
+            kept = [a for a in r.letters if abs(a) != killed]
+            w = Word(a - 1 if a > killed else a + 1 if a < -killed else a for a in kept)
             if not w.is_identity():
                 new_relators.append(w)
         return Presentation(new_gens, new_relators)
@@ -283,8 +272,9 @@ class Presentation:
                 raise PresentationError(
                     f"generator names must be single lowercase letters, got {g!r}"
                 )
-        relator_texts = [r.strip() for r in rel_part.split(",") if r.strip()]
-        relators = [parse_word(t, generators) for t in relator_texts]
+        relators = [
+            parse_word(r.strip(), generators) for r in rel_part.split(",") if r.strip()
+        ]
         return cls(generators, relators)
 
 
@@ -308,15 +298,15 @@ def certify_trivial(p: Presentation, max_cosets: int = 10000) -> TrivialityCerti
     (though a finite order > 1, when found, is attached as evidence).
     Where `simplify` reaches no generators, as for every K2(p,q) quotient,
     the group is trivial and no table is built.  Any other quotient is
-    enumerated by `coset.enumerate_cosets`, which loads only then and may
-    raise TableBudgetError.  Raises ValueError when max_cosets < 1.
+    enumerated by `coset.coset_index`, which loads only then and may raise
+    TableBudgetError.  Raises ValueError when max_cosets < 1.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     simplified = p.simplify()
     if not simplified.generators:
         return TrivialityCertificate(trivial=True, order=1)
-    from .coset import enumerate_cosets
+    from .coset import coset_index
 
-    order = enumerate_cosets(simplified, (), max_cosets).order  # None if not finite
+    order = coset_index(simplified, (), max_cosets)  # None if not finite
     return TrivialityCertificate(trivial=order == 1, order=order)

@@ -409,8 +409,10 @@ class TestFamilyStreams:
         (("family", "--grid", "0..99", "0..999", "--json"), 1),
         (("enum", "<x | x^3>"), 0),  # all of it still buffered when the pipe closes
         (("--version",), 0),
+        (("-h",), 0),  # argparse prints the help, then exits
+        (("enum", "--help"), 0),
     ],
-    ids=["tsv", "json", "buffered", "version"],
+    ids=["tsv", "json", "buffered", "version", "help", "enum-help"],
 )
 def test_closed_pipe_ends_quietly(argv, read):
     # `gluckknot family --grid ... | head -1`: exit 0, no traceback

@@ -1,4 +1,6 @@
+import gc
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 import gluckknot.coset
 from gluckknot.cli import main
 from gluckknot.coset import (
+    BLOCK,
     MAX_TABLE_ENTRIES,
     CosetTable,
     TableBudgetError,
     _replay,
     certify_trivial,
+    coset_index,
     enumerate_cosets,
 )
 from gluckknot.twoknot import family_presentation, family_record
@@ -287,13 +291,13 @@ class TestCertifyAgainstHLT:
 
     def test_family_record_never_enumerates(self, monkeypatch):
         calls = []
-        enumerate_ = gluckknot.coset.enumerate_cosets
+        index = gluckknot.coset.coset_index
 
         def spy(p, subgroup_words=(), max_cosets=10000):
             calls.append(p)
-            return enumerate_(p, subgroup_words, max_cosets)
+            return index(p, subgroup_words, max_cosets)
 
-        monkeypatch.setattr(gluckknot.coset, "enumerate_cosets", spy)
+        monkeypatch.setattr(gluckknot.coset, "coset_index", spy)
         for p in range(-2, 3):
             for q in range(-2, 3):
                 assert family_record(p, q)["gluck_pi1"] == "trivial"
@@ -438,6 +442,9 @@ COXETER_CORPUS = [
     ("H4", 4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}, 14400),
 ]
 
+# cosets HLT defines before each group of the corpus closes
+COSETS_DEFINED = {"A4": 217, "A5": 1493, "F4": 2167, "A6": 11894, "H4": 30876}
+
 
 class TestAgainstSeedTable:
     @pytest.mark.parametrize("name,rank,m,order", COXETER_CORPUS)
@@ -462,11 +469,10 @@ class TestAgainstSeedTable:
         "name,rank,m,order", COXETER_CORPUS, ids=[c[0] for c in COXETER_CORPUS]
     )
     def test_overflow_edge(self, name, rank, m, order):
-        defined = {"A4": 217, "A5": 1493, "F4": 2167, "A6": 11894, "H4": 30876}
         p = coxeter(rank, m)
-        outcome = enumerate_cosets(p, (), defined[name])
+        outcome = enumerate_cosets(p, (), COSETS_DEFINED[name])
         assert outcome.finite and outcome.order == order
-        assert not enumerate_cosets(p, (), defined[name] - 1).finite
+        assert not enumerate_cosets(p, (), COSETS_DEFINED[name] - 1).finite
 
     @pytest.mark.parametrize("max_cosets", [2, 3])
     def test_bound_reached_in_fill_loop(self, max_cosets):
@@ -574,17 +580,43 @@ class TestFinalTable:
         assert peak < mib * 2**20
 
 
+    @pytest.mark.parametrize("p,mib", [(H4, 4.4), (A6, 2.0)], ids=["H4", "A6"])
+    def test_index_memory_peak(self, p, mib):
+        # the index reader builds no rows; both readers peak on the same HLT
+        # table, and once warmed up a repeated call peaks a few bytes lower.
+        # Collected garbage left by earlier tests would move either peak.
+        coset_index(p, (), 60000)
+        enumerate_cosets(p, (), 60000)
+        peaks = {}
+        for run in (enumerate_cosets, coset_index):
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                run(p, (), 60000)
+                peaks[run] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peaks[coset_index] <= peaks[enumerate_cosets]
+        assert peaks[coset_index] < mib * 2**20
+
+
 def assert_spare_slots(table):
-    # one -1 slot past the last coset ends every column
+    # what the walk through gaps needs: every slot from len(parent) on holds
+    # -1 and there is at least one, so column[-1] is -1; block growth stops
+    # at max_cosets + 1 slots
+    n = len(table.parent)
     for column in table.columns:
-        assert len(column) == len(table.parent) + 1 and column[-1] == -1
+        assert n < len(column) <= table.max_cosets + 1
+        assert column[n:] == [-1] * (len(column) - n)
 
 
 class TestLiveRowsAfterCoincidence:
     """The scans read table entries without resolving them, which is sound
     only if no live row references a dead coset once `coincidence` returns.
     The forward walks run through gaps unchecked, which is sound only if
-    every column ends in a spare slot holding -1."""
+    every slot past the last coset holds -1."""
 
     @pytest.mark.parametrize(
         "p,max_cosets",
@@ -639,7 +671,152 @@ class TestLiveRowsAfterCoincidence:
         assert (calls[0][1] > 1) == bool(subgroup)
 
 
+class TestBlockGrowth:
+    """Columns grow by a block of -1 slots, only when a new coset takes the
+    last slot, and never past max_cosets + 1 slots; HLT defines the same
+    cosets and overflows at the same bound as with one slot per coset."""
+
+    @pytest.mark.parametrize("max_cosets", [1, 2, len(BLOCK), len(BLOCK) + 1])
+    @pytest.mark.parametrize("n", [1, 2, len(BLOCK) - 1, len(BLOCK), len(BLOCK) + 1])
+    def test_bound_edges(self, monkeypatch, n, max_cosets):
+        grown = []
+        grow = CosetTable.grow
+
+        def checked(self, d):
+            assert {len(column) for column in self.columns} == {d + 1}
+            grow(self, d)  # raises when d reaches the bound, growing nothing
+            grown.append(d)
+            for column in self.columns:
+                assert d + 2 <= len(column) <= self.max_cosets + 1
+                assert column[d:] == [-1] * (len(column) - d)
+
+        monkeypatch.setattr(CosetTable, "grow", checked)
+        outcome = assert_matches_seed(cyclic(n), (), max_cosets)
+        # <x | x^n> defines exactly n cosets
+        assert outcome.order == (n if max_cosets >= n else None)
+        # the first growth is at coset 1, then one a block
+        assert grown == list(range(1, min(n, max_cosets), len(BLOCK)))
+
+    @pytest.mark.parametrize(
+        "max_cosets,order",
+        [(1, None), (2, None), (len(BLOCK), 1024), (len(BLOCK) + 1, 1024)],
+    )
+    def test_two_generators_at_the_edges(self, max_cosets, order):
+        outcome = assert_matches_seed(dihedral(512), (), max_cosets)
+        assert outcome.order == order
+
+
 Z2 = Presentation.parse("< x, y | xyXY >")
+
+
+def rotated(p, k):
+    """p with each relator rotated left by k letters, as the bench relabels
+    and rotates its ladder: a conjugate relator, so the same group."""
+    rels = [Word(r.letters[k % len(r) :] + r.letters[: k % len(r)]) for r in p.relators]
+    return Presentation(p.generators, rels)
+
+
+def assert_index_matches(p, subgroup, max_cosets):
+    """coset_index agrees with enumerate_cosets: the same order, None where
+    that is not finite, and the same exception where that raises."""
+    try:
+        order = enumerate_cosets(p, subgroup, max_cosets).order
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            coset_index(p, subgroup, max_cosets)
+        return exc
+    assert coset_index(p, subgroup, max_cosets) == order
+    return order
+
+
+class TestCosetIndex:
+    """coset_index reads the index off the replayed columns that
+    enumerate_cosets turns into rows; it must report that reader's order."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "name,rank,m,order", COXETER_CORPUS, ids=[c[0] for c in COXETER_CORPUS]
+    )
+    def test_coxeter_ladder(self, name, rank, m, order, k):
+        assert assert_index_matches(rotated(coxeter(rank, m), k), (), 60000) == order
+
+    @pytest.mark.parametrize(
+        "p,max_cosets",
+        [(Z2, 2000), (TRIANGLE_237, 2000), (TRIANGLE_237, 60000), (cyclic(9), 8)],
+    )
+    def test_overflow(self, p, max_cosets):
+        assert assert_index_matches(p, (), max_cosets) is None
+
+    @pytest.mark.parametrize(
+        "p,subgroup,order",
+        [
+            (H4, [Word([1, 2])], 2880),
+            (dihedral(6), [Word([1])], 2),
+            (Z2, [Word([1]), Word([2])], 1),
+            (Z2, [Word([1])], None),
+            (QUATERNION_8, [Word([1])], 2),
+            (cyclic(6), [Word([1, 1])], 2),
+        ],
+    )
+    def test_subgroup_words(self, p, subgroup, order):
+        assert assert_index_matches(p, subgroup, 60000) == order
+
+    @pytest.mark.parametrize(
+        "name,rank,m,order", COXETER_CORPUS, ids=[c[0] for c in COXETER_CORPUS]
+    )
+    def test_overflow_edge(self, name, rank, m, order):
+        p = coxeter(rank, m)
+        assert assert_index_matches(p, (), COSETS_DEFINED[name]) == order
+        assert assert_index_matches(p, (), COSETS_DEFINED[name] - 1) is None
+
+    def test_no_generators(self):
+        p = Presentation.parse("< | >")
+        assert assert_index_matches(p, (), 1) == 1
+        assert assert_index_matches(Presentation([], [Word()]), (), 10) == 1
+
+    @pytest.mark.parametrize(
+        "p,subgroup,max_cosets",
+        [(Z2, (), 0), (Z2, (), MAX_TABLE_ENTRIES), (Z2, [Word([3])], 10)],
+    )
+    def test_refusals(self, p, subgroup, max_cosets):
+        assert isinstance(assert_index_matches(p, subgroup, max_cosets), ValueError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(word_on(n, 8), max_size=3),
+                st.lists(word_on(n, 3), max_size=2),
+                st.sampled_from([1, 2, 3, 7, 20, 50, 200, 400]),
+            )
+        )
+    )
+    def test_random_presentations(self, case):
+        n, relators, subgroup, max_cosets = case
+        p = Presentation(list("xyz"[:n]), relators)
+        assert_index_matches(p, subgroup, max_cosets)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "<x | x^3>"],
+            ["enum", "<x, y | xyXY>", "--max", "50", "--json"],
+            ["enum", "<x, y | x^6, y^2, xyxy>", "--subgroup", "x, y^2"],
+            ["enum", "<a, b | a^2, b^3, ababababababab>", "--max", "300"],
+        ],
+    )
+    def test_enum_reads_only_the_index(self, monkeypatch, capsys, argv):
+        expected = main(argv), capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enum built the rows")
+
+        monkeypatch.setattr(gluckknot.coset, "enumerate_cosets", refuse)
+        assert (main(argv), capsys.readouterr()) == expected
+        monkeypatch.setattr(gluckknot.coset, "coset_index", refuse)
+        assert main(argv) == 3
+
 
 
 class TestAbelianShortcut:
