@@ -16,67 +16,24 @@ from typing import Sequence
 
 from . import __version__
 from .cli_common import MAX_GRID_RECORDS  # documented as gluckknot.cli's
-from .cli_common import PreconditionError, UsageError, coset_bound, report
+from .cli_common import SUBCOMMANDS, PreconditionError, UsageError, report
 
-# A well-formed command line is read by `_read` below, without argparse; each
-# subcommand then imports its handler module, cli_<name>, and the library
-# modules that handler runs: `--version` none, `enum` words, echelon and
-# coset, and `gluck` echelon and coset only for a quotient that keeps
-# generators: `words.certify_trivial` settles one simplified to < | >, as
-# every `family` quotient is, without a table.  Any line `_read` declines goes
-# to the argparse grammar of cli_argparse, which parses it and words every
-# error.  Each handler converts the library errors that user input can cause
-# into UsageError (exit 1) or PreconditionError (exit 2), and returns its JSON
-# payload (None for `family`, whose lines encode themselves) and its text
-# lines; `main` alone writes them.
+# `_read` below reads a well-formed command line without argparse, from the
+# GRAMMAR of its subcommand's handler module, cli_<name>, the one handler it
+# imports.  The handler imports the library modules it runs: `--version` none,
+# `enum` words, echelon and coset, and `gluck` echelon and coset only for a
+# quotient that keeps generators: `words.certify_trivial` settles one
+# simplified to < | >, as every `family` quotient is, without a table.  Any
+# line `_read` declines goes to cli_argparse, which builds its parsers from the
+# same GRAMMARs and words every error.  Each handler converts the library
+# errors that user input can cause into UsageError (exit 1) or
+# PreconditionError (exit 2), and returns its JSON payload (None for `family`,
+# whose lines encode themselves) and its text lines; `main` alone writes them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
-
-
-def _variant(text: str) -> str:
-    if text not in ("single", "double"):
-        raise ValueError(text)
-    return text
-
-
-# The grammar of cli_argparse, restated for `_read`.  Per subcommand: its
-# options, option string -> (dest, number of values, converter), where 0
-# values is a flag that stores True; its positionals and their converter; and
-# its defaults.  A dest without a default is required.
-_COMMON = {
-    "--json": ("json", 0, None),
-    "--max-cosets": ("max_cosets", 1, coset_bound),
-    "--max": ("max_cosets", 1, coset_bound),
-}
-_GRAMMAR = {
-    "alex": (_COMMON, ("presentation",), str, {}),
-    "enum": (
-        {**_COMMON, "--subgroup": ("subgroup", 1, str)},
-        ("presentation",),
-        str,
-        {"subgroup": None},
-    ),
-    "gluck": (
-        {
-            **_COMMON,
-            "--kill": ("kill", 1, str),
-            "--variant": ("variant", 1, _variant),
-            "--bands": ("bands", 2, int),
-        },
-        ("presentation",),
-        str,
-        {"variant": "single", "bands": None},
-    ),
-    "family": (
-        {**_COMMON, "--grid": ("grid", 2, str), "--tsv": ("tsv", 0, None)},
-        ("p", "q"),
-        int,
-        {"p": None, "q": None, "grid": None, "tsv": False},
-    ),
-}
 
 
 def _is_value(word: str) -> bool:
@@ -87,14 +44,15 @@ def _is_value(word: str) -> bool:
 
 
 def _read(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would make of `argv`, func and subcommand
-    included, or None for any line this reader leaves to argparse: an error,
-    -h/--help, an abbreviated option, --opt=value, any unknown dash word."""
-    if not argv or argv[0] not in _GRAMMAR:
+    """The namespace argparse would make of `argv`, subcommand included, or
+    None for any line this reader leaves to argparse: an error, -h/--help,
+    an abbreviated option, --opt=value, any unknown dash word."""
+    if not argv or argv[0] not in SUBCOMMANDS:
         return None
     name, *words = argv
-    options, positionals, convert_positional, defaults = _GRAMMAR[name]
-    values = {"json": False, "max_cosets": 10000, **defaults}
+    grammar = import_module(f".cli_{name}", __package__).GRAMMAR
+    options, positionals, convert_positional, defaults = grammar
+    values = {**defaults, "subcommand": name}
     at, filled = 0, False
     while at < len(words):
         if words[at] in options:
@@ -106,9 +64,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                 converted = [convert(text) for text in texts]
             except Exception:  # ValueError, or ArgumentTypeError from coset_bound
                 return None
-            values[dest] = (
-                True if count == 0 else converted[0] if count == 1 else converted
-            )
+            values[dest] = converted if count > 1 else converted[0] if count else True
             at += 1 + count
         elif _is_value(words[at]) and not filled:
             # argparse fills every positional from the first run of values; a
@@ -126,10 +82,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         else:
             return None
     dests = {spec[0] for spec in options.values()}.union(positionals)
-    if not dests <= values.keys():
-        return None
-    func = getattr(import_module(f".cli_{name}", __package__), f"cmd_{name}")
-    return SimpleNamespace(**values, subcommand=name, func=func)
+    return SimpleNamespace(**values) if dests <= values.keys() else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -143,7 +96,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 from .cli_argparse import build_parser
 
                 args = build_parser().parse_args(argv)
-            payload, lines = args.func(args)
+            handler = import_module(f".cli_{args.subcommand}", __package__)
+            payload, lines = handler.run(args)
             if args.json and payload is not None:
                 import json
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cli_common import PreconditionError, parse_presentation
+from .cli_common import DEFAULTS, OPTIONS, PreconditionError, parse_presentation
+
+GRAMMAR = (OPTIONS, ("presentation",), str, DEFAULTS)
 
 
-def cmd_alex(args) -> tuple[dict | None, Iterable[str]]:
+def run(args) -> tuple[dict | None, Iterable[str]]:
     from .fox import MinorBoundError, OrientationError, alexander_polynomial
 
     p = parse_presentation(args.presentation)

@@ -5,24 +5,38 @@ parse error, 2 precondition failure, 3 internal invariant violation.  All
 output is exact and deterministic.
 """
 
-# The docstring above is the description that --help prints.  This module is
-# the argparse grammar of the CLI, imported only for a line that the reader in
-# cli.py declines: a usage error, -h/--help, an abbreviated option, --opt=value
-# or any other spelling it does not know.  argparse then parses the line and
-# words every message.
+# The docstring above is the description that --help prints.  This module
+# builds argparse's parsers from the GRAMMAR of each handler module, for a line
+# that the reader in cli.py declines (a usage error, -h/--help, or a spelling
+# it does not know); argparse then parses the line and words every message.
 
 from __future__ import annotations
 
 import argparse
 import re
 import sys
+from importlib import import_module
 
 from . import __version__
-from .cli_alex import cmd_alex
-from .cli_common import UsageError, coset_bound
-from .cli_enum import cmd_enum
-from .cli_family import cmd_family
-from .cli_gluck import cmd_gluck
+from .cli_common import SUBCOMMANDS, UsageError
+
+# What only argparse needs, per subcommand and per first option string: help,
+# metavar, and the choices of --variant, which argparse checks with no
+# converter, so that it words the error.
+_EXTRA = {
+    "alex": {"help": "Alexander polynomial"},
+    "family": {"help": "K2(p,q) family record"},
+    "gluck": {"help": "Gluck twist pipeline"},
+    "enum": {"help": "coset enumeration"},
+    "--json": {"help": "emit JSON"},
+    "--max-cosets": {"help": "coset enumeration bound (default %(default)s)"},
+    "--grid": {"metavar": ("PRANGE", "QRANGE"), "help": "e.g. --grid -2..2 -2..2"},
+    "--tsv": {"help": "tab-separated output"},
+    "--kill": {"metavar": "GEN"},
+    "--variant": {"choices": ("single", "double"), "type": None},
+    "--bands": {"metavar": ("M", "N")},
+    "--subgroup": {"help": "comma-separated subgroup words"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,41 +58,21 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="gluckknot", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument(
-        "--max-cosets",
-        "--max",
-        type=coset_bound,
-        default=10000,
-        help="coset enumeration bound (default 10000)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_alex = sub.add_parser("alex", parents=[common], help="Alexander polynomial")
-    p_alex.add_argument("presentation")
-    p_alex.set_defaults(func=cmd_alex)
-
-    p_family = sub.add_parser("family", parents=[common], help="K2(p,q) family record")
-    p_family.add_argument("p", type=int, nargs="?")
-    p_family.add_argument("q", type=int, nargs="?")
-    p_family.add_argument(
-        "--grid", nargs=2, metavar=("PRANGE", "QRANGE"), help="e.g. --grid -2..2 -2..2"
-    )
-    p_family.add_argument("--tsv", action="store_true", help="tab-separated output")
-    p_family.set_defaults(func=cmd_family)
-
-    p_gluck = sub.add_parser("gluck", parents=[common], help="Gluck twist pipeline")
-    p_gluck.add_argument("presentation")
-    p_gluck.add_argument("--kill", required=True, metavar="GEN")
-    p_gluck.add_argument(
-        "--variant", choices=["single", "double"], default="single"
-    )
-    p_gluck.add_argument("--bands", type=int, nargs=2, metavar=("M", "N"))
-    p_gluck.set_defaults(func=cmd_gluck)
-
-    p_enum = sub.add_parser("enum", parents=[common], help="coset enumeration")
-    p_enum.add_argument("presentation")
-    p_enum.add_argument("--subgroup", help="comma-separated subgroup words")
-    p_enum.set_defaults(func=cmd_enum)
+    for name in SUBCOMMANDS:
+        grammar = import_module(f".cli_{name}", __package__).GRAMMAR
+        options, positionals, convert_positional, defaults = grammar
+        subparser = sub.add_parser(name, **_EXTRA[name])
+        for dest in positionals:
+            nargs = "?" if dest in defaults else None
+            subparser.add_argument(dest, type=convert_positional, nargs=nargs)
+        for dest, count, convert in dict.fromkeys(options.values()):
+            strings = [s for s, spec in options.items() if spec[0] == dest]
+            if count == 0:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"type": convert, "nargs": None if count == 1 else count}
+            kwargs.update(_EXTRA.get(strings[0], {}), required=dest not in defaults)
+            subparser.add_argument(*strings, dest=dest, **kwargs)
+        subparser.set_defaults(**defaults)  # also sets each action's default
     return parser

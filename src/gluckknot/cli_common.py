@@ -33,6 +33,21 @@ def coset_bound(text: str) -> int:
     return value
 
 
+# The subcommands, in the order --help lists them.  Each handler module,
+# cli_<name>, states its grammar as GRAMMAR, which both the reader of cli.py
+# and the argparse fallback read: its options, option string -> (dest, number
+# of values, converter), where 0 values is a flag that stores True; its
+# positionals and their converter; and its defaults.  A dest without a default
+# is required.  OPTIONS and DEFAULTS are what every subcommand shares.
+SUBCOMMANDS = ("alex", "family", "gluck", "enum")
+OPTIONS = {
+    "--json": ("json", 0, None),
+    "--max-cosets": ("max_cosets", 1, coset_bound),
+    "--max": ("max_cosets", 1, coset_bound),
+}
+DEFAULTS = {"json": False, "max_cosets": 10000}
+
+
 def report(command: str, payload: dict) -> dict:
     return {"tool_version": __version__, "seed": 0, "command": command, **payload}
 

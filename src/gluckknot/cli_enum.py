@@ -4,10 +4,17 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cli_common import UsageError, parse_presentation
+from .cli_common import DEFAULTS, OPTIONS, UsageError, parse_presentation
+
+GRAMMAR = (
+    {**OPTIONS, "--subgroup": ("subgroup", 1, str)},
+    ("presentation",),
+    str,
+    {**DEFAULTS, "subgroup": None},
+)
 
 
-def cmd_enum(args) -> tuple[dict | None, Iterable[str]]:
+def run(args) -> tuple[dict | None, Iterable[str]]:
     from .coset import TableBudgetError, coset_index
     from .words import WordSyntaxError
 

@@ -7,7 +7,14 @@ import re
 from itertools import chain
 from typing import Iterable
 
-from .cli_common import MAX_GRID_RECORDS, UsageError, report
+from .cli_common import DEFAULTS, MAX_GRID_RECORDS, OPTIONS, UsageError, report
+
+GRAMMAR = (
+    {**OPTIONS, "--grid": ("grid", 2, str), "--tsv": ("tsv", 0, None)},
+    ("p", "q"),
+    int,
+    {**DEFAULTS, "p": None, "q": None, "grid": None, "tsv": False},
+)
 
 
 def _parse_range(text: str) -> range:
@@ -52,7 +59,7 @@ def _family_parts(record: dict, as_json: bool) -> list[str]:
     return ["", "\t", "\t" + "\t".join(cells)]
 
 
-def cmd_family(args) -> tuple[dict | None, Iterable[str]]:
+def run(args) -> tuple[dict | None, Iterable[str]]:
     if args.grid is not None:
         if args.p is not None or args.q is not None:
             raise UsageError("give either p q or --grid, not both")

@@ -5,10 +5,30 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cli_common import PreconditionError, UsageError, parse_presentation
+from .cli_common import DEFAULTS, OPTIONS, PreconditionError, UsageError
+from .cli_common import parse_presentation
 
 
-def cmd_gluck(args) -> tuple[dict | None, Iterable[str]]:
+def _variant(text: str) -> str:
+    if text not in ("single", "double"):
+        raise ValueError(text)
+    return text
+
+
+GRAMMAR = (
+    {
+        **OPTIONS,
+        "--kill": ("kill", 1, str),
+        "--variant": ("variant", 1, _variant),
+        "--bands": ("bands", 2, int),
+    },
+    ("presentation",),
+    str,
+    {**DEFAULTS, "variant": "single", "bands": None},
+)
+
+
+def run(args) -> tuple[dict | None, Iterable[str]]:
     from .words import PresentationError, TableBudgetError, certify_trivial
 
     p = parse_presentation(args.presentation)

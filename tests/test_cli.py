@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -718,11 +719,15 @@ FULL_OPTIONS = {
 
 
 def check_reader(argv):
-    """The reader of cli.py against argparse: a line it accepts must give
-    argparse's namespace, func and subcommand included, and it may decline a
-    line that argparse accepts only for a dash word that is neither a value
-    (a lone dash, or a dash and a decimal digit) nor an option spelled out in
-    full.  Returns whether the reader accepted `argv`."""
+    """The reader of cli.py against argparse, both reading the GRAMMAR of the
+    subcommand's handler module: a line the reader accepts must give
+    argparse's namespace, subcommand included, and it may decline a line that
+    argparse accepts only for a dash word that is neither a value (a lone
+    dash, or a dash and a decimal digit) nor an option spelled out in full.
+    So this checks the two parsing algorithms against each other, not two
+    grammars: a wrong GRAMMAR entry misleads both alike, and must show in the
+    goldens, the --help tests or the tests of the handlers.  Returns whether
+    the reader accepted `argv`."""
     got = _read(list(argv))
     want = parse_with_argparse(list(argv))
     if got is not None:
@@ -734,6 +739,10 @@ def check_reader(argv):
 
 
 class TestReaderMatchesArgparse:
+    """The reader's parsing algorithm against argparse's on one grammar, that
+    of each handler module: value counts, negative numbers, repeated
+    options, positional runs, required dests and every line it declines."""
+
     @settings(max_examples=400, deadline=None)
     @given(FUZZ_ARGV)
     def test_fuzz(self, argv):
@@ -745,7 +754,7 @@ class TestReaderMatchesArgparse:
             (["family", "1", "--json", "2"], False),  # argparse: unrecognized 2
             (["family", "--json", "1", "2"], True),
             (["family", "1", "2", "--json"], True),
-            (["family", "1"], True),  # q is None; cmd_family refuses it
+            (["family", "1"], True),  # q is None; cli_family.run refuses it
             (["family"], True),
             (["family", "1", "2", "3"], False),
             (["family", "-3", "4"], True),
@@ -784,6 +793,30 @@ class TestReaderMatchesArgparse:
     )
     def test_corner(self, argv, accepted):
         assert check_reader(argv) is accepted
+
+
+@pytest.mark.parametrize(
+    "name,spellings",
+    [
+        ("alex", []),
+        ("enum", []),
+        ("gluck", ["--kill GEN", "--bands M N", "{single,double}"]),
+        ("family", ["--grid PRANGE QRANGE", "[p] [q]"]),
+    ],
+)
+def test_help_shows_the_grammar(capsys, name, spellings):
+    """Every option string and positional of the subcommand's GRAMMAR, and
+    the metavars and choices argparse adds, appear in its --help.  Checked
+    as substrings, since argparse lays help out differently across Python
+    versions."""
+    with pytest.raises(SystemExit):
+        main([name, "--help"])
+    out = capsys.readouterr().out
+    options, positionals, _, _ = import_module(f"gluckknot.cli_{name}").GRAMMAR
+    for text in [*options, *positionals]:
+        assert re.search(rf"(?<![\w-]){re.escape(text)}(?![\w-])", out), text
+    for text in spellings:
+        assert text in out
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,12 @@ records and grids in text, `--tsv` and `--json`, and every usage error;
 `alex` and parse errors.  Each call is in text and `--json` form where both
 apply.  The stderr of argparse's invalid-choice errors, which Python
 versions word differently, is not recorded.
+
+The last cases pin argparse's wording of the errors that a wrong entry in a
+subcommand's GRAMMAR would change: an invalid int value for `family`'s `p`
+and for `gluck --bands`, `family --grid` with one value, `enum --subgroup`
+with none, an unrecognized argument after `alex`'s presentation, and `alex`
+with no presentation.
 """
 
 import contextlib
