@@ -66,9 +66,6 @@ class IntMatrix:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], cols=self.cols)
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r})"
 
@@ -119,98 +116,70 @@ class SmithForm(NamedTuple):
 
 
 def smith_normal_form(a: IntMatrix, with_left: bool = True) -> SmithForm:
-    """Smith normal form with transforms.
-
-    Pivot rule: smallest nonzero absolute value in the working submatrix,
-    rows scanned before columns, lowest index wins ties.  Deterministic.
-    With `with_left` false the left transform, rows x rows, is not kept: it
-    comes back rows x 0, and memory stays O(rows x cols).
+    """Smith normal form with transforms, by one elimination on the work
+    matrix W = [[A, I_rows], [I_cols, 0]] (Newman, *Integral Matrices*,
+    ch. II; Cohen, GTM 138, 2.4.4).  Row operations on A's rows carry L
+    along in the I_rows block, column operations on A's columns carry R in
+    the I_cols block; D, L and R are read off the blocks at the end, and the
+    zero block, never touched, is not stored.  Without `with_left` W has no
+    I_rows block, L comes back rows x 0 and memory stays O(rows x cols).
+    Pivot: smallest nonzero absolute value in the working submatrix, rows
+    scanned before columns, lowest index wins ties.  Deterministic.
     """
-    m = a.copy()
-    left = IntMatrix.identity(a.rows) if with_left else IntMatrix.zero(a.rows, 0)
-    right = IntMatrix.identity(a.cols)
-    size = min(a.rows, a.cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            m.data[i], m.data[j] = m.data[j], m.data[i]
-            left.data[i], left.data[j] = left.data[j], left.data[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in m.data:
-                row[i], row[j] = row[j], row[i]
-            for row in right.data:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        # row[dst] += factor * row[src]
-        for j in range(m.cols):
-            m.data[dst][j] += factor * m.data[src][j]
-        for j in range(left.cols):
-            left.data[dst][j] += factor * left.data[src][j]
-
-    def add_col(src, dst, factor):
-        for row in m.data:
-            row[dst] += factor * row[src]
-        for row in right.data:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        m.data[i] = [-x for x in m.data[i]]
-        left.data[i] = [-x for x in left.data[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m.rows):
-            for j in range(t, m.cols):
-                v = abs(m.data[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        return best
-
+    rows, cols = a.rows, a.cols
+    eye = IntMatrix.identity(rows).data if with_left else [[]] * rows
+    w = [row + e for row, e in zip(a.data, eye)] + IntMatrix.identity(cols).data
+    size = min(rows, cols)
     t = 0
     while t < size:
-        found = find_pivot(t)
-        if found is None:
+        best = 0
+        for i in range(t, rows):
+            row = w[i]
+            for j in range(t, cols):
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+        if not best:
             break
-        _, pi, pj = found
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        if m.data[t][t] < 0:
-            negate_row(t)
-        pivot = m.data[t][t]
+        w[t], w[pi] = w[pi], w[t]
+        if pj != t:
+            for row in w:
+                row[t], row[pj] = row[pj], row[t]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+        top, pivot = w[t], w[t][t]
         dirty = False
-        for i in range(t + 1, m.rows):
-            if m.data[i][t]:
-                q = m.data[i][t] // pivot
-                add_row(t, i, -q)
-                if m.data[i][t]:
-                    dirty = True
-        for j in range(t + 1, m.cols):
-            if m.data[t][j]:
-                q = m.data[t][j] // pivot
-                add_col(t, j, -q)
-                if m.data[t][j]:
-                    dirty = True
+        for i in range(t + 1, rows):
+            if w[i][t]:
+                q = w[i][t] // pivot
+                w[i] = [x - q * y for x, y in zip(w[i], top)]
+                dirty = dirty or w[i][t] != 0
+        for j in range(t + 1, cols):
+            if top[j]:
+                q = top[j] // pivot
+                for row in w:
+                    row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
-        # ensure pivot divides the rest of the submatrix
-        offender = None
-        for i in range(t + 1, m.rows):
-            for j in range(t + 1, m.cols):
-                if m.data[i][j] % pivot:
-                    offender = i
+        # the pivot must divide the rest of the submatrix: add the first row
+        # with an entry it does not divide to the pivot row and search again
+        for i in range(t + 1, rows):
+            row = w[i]
+            for j in range(t + 1, cols):
+                if row[j] % pivot:
                     break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-
-    diagonal = tuple(m.data[i][i] for i in range(size))
-    return SmithForm(diagonal=diagonal, left=left, right=right)
+            else:
+                continue
+            w[t] = [x + y for x, y in zip(top, row)]
+            break
+        else:
+            t += 1
+    return SmithForm(
+        diagonal=tuple(w[i][i] for i in range(size)),
+        left=IntMatrix([row[cols:] for row in w[:rows]]),
+        right=IntMatrix(w[rows:]),
+    )
 
 
 class AbelianGroup(NamedTuple):

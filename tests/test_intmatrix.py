@@ -1,5 +1,6 @@
 import operator
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -76,6 +77,116 @@ class TestSmith:
         s2 = smith_normal_form(a)
         assert s1.diagonal == s2.diagonal
         assert s1.left == s2.left and s1.right == s2.right
+
+
+def wirtinger_exponents(n):
+    """The exponent matrix of the Wirtinger presentation of T(2,n): relator i
+    is x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1, indices mod n."""
+    return [[(j == i) - (j == (i + 2) % n) for j in range(n)] for i in range(n)]
+
+
+# (diagonal, left.data, right.data) with the left transform kept; without it
+# the diagonal and right transform are the same and left.data is rows x []
+SMITH_CORPUS = [
+    pytest.param([], 3, ((), [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), id="0x3"),
+    pytest.param(
+        [[], [], []], 0, ((), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], []), id="3x0"
+    ),
+    # the exponent matrix of every K2(p,q) record
+    pytest.param([[1, -1]], 2, ((1,), [[1]], [[1, 1], [0, 1]]), id="family"),
+    pytest.param(
+        wirtinger_exponents(5),
+        5,
+        (
+            (1, 1, 1, 1, 0),
+            [
+                [1, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0],
+                [0, 0, 1, 0, 0],
+                [1, 0, 1, 1, 0],
+                [1, 1, 1, 1, 1],
+            ],
+            [
+                [1, 0, 1, 0, 1],
+                [0, 1, 0, 1, 1],
+                [0, 0, 1, 0, 1],
+                [0, 0, 0, 1, 1],
+                [0, 0, 0, 0, 1],
+            ],
+        ),
+        id="wirtinger-T(2,5)",
+    ),
+    pytest.param(
+        [[6, -4], [9, 8]],
+        2,
+        ((1, 84), [[12, 1], [-25, -2]], [[1, 40], [2, 81]]),
+        id="negated-pivot",  # the first pivot, -4
+    ),
+    pytest.param(
+        [[2, 0], [0, 3]],
+        2,
+        ((1, 6), [[1, 1], [3, 2]], [[-1, 3], [1, -2]]),
+        id="fix-up",  # 2 does not divide 3: row 1 is added to row 0
+    ),
+    # entries drawn by random.Random(22).randint(-9, 9), row by row
+    pytest.param(
+        [
+            [-5, -2, -9, 5],
+            [-4, -6, 2, -7],
+            [-2, -1, -8, 1],
+            [-4, 8, 4, -8],
+            [9, -9, 9, -1],
+        ],
+        4,
+        (
+            (1, 1, 1, 4),
+            [
+                [0, 0, -1, 0, 0],
+                [-1, 0, 2, 0, 0],
+                [49, 12, -153, 1, -1],
+                [289, -111, 33, 253, 231],
+                [-1300, 500, -152, -1139, -1040],
+            ],
+            [
+                [0, 1, 3, -2399],
+                [1, -2, -5, 3988],
+                [0, 0, 0, 1],
+                [0, 0, 1, -802],
+            ],
+        ),
+        id="random-5x4",
+    ),
+]
+
+
+@pytest.mark.parametrize("with_left", [True, False])
+@pytest.mark.parametrize("data,cols,expected", SMITH_CORPUS)
+def test_smith_form_is_pinned(data, cols, expected, with_left):
+    # the exact output, not only a valid one: a change in the pivot rule or
+    # in the order of the operations shows here
+    a = IntMatrix(data, cols=cols)
+    snf = smith_normal_form(a, with_left=with_left)
+    diagonal, left, right = expected
+    if not with_left:
+        left = [[] for _ in data]
+    assert (snf.diagonal, snf.left.data, snf.right.data) == (diagonal, left, right)
+    # the work matrix shares no row with the input
+    assert a.data == data
+
+
+def test_smith_form_without_left_transform_stays_lean():
+    # a rows x rows left transform of 3000 x 3000 ints would take some 70 MB
+    # of list slots alone; the lean form keeps O(rows x cols)
+    rng = random.Random(7)
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(3000)])
+    tracemalloc.start()
+    try:
+        snf = smith_normal_form(a, with_left=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (snf.left.rows, snf.left.cols) == (3000, 0)
+    assert peak < 7_000_000
 
 
 class TestCokernel:
