@@ -15,7 +15,7 @@ from collections import Counter
 from math import gcd
 from typing import NamedTuple
 
-from .intmatrix import AbelianGroup, IntMatrix, primitive_vector, smith_normal_form
+from .intmatrix import AbelianGroup, IntMatrix, smith_normal_form
 from .laurent import LaurentPolynomial, divide_exact, pseudo_quotient
 from .words import Presentation, Word
 
@@ -59,7 +59,10 @@ def _abelianization(p: Presentation) -> tuple[AbelianGroup, tuple[int, ...]]:
             f"abelianization has free rank {h1.rank}, expected 1 (H1 = {h1})"
         )
     (kernel,) = snf.kernel_basis()
-    return h1, tuple(primitive_vector(kernel))
+    # a column of the unimodular R has entries of gcd 1: fix only the sign
+    if next(x for x in kernel if x) < 0:
+        kernel = [-x for x in kernel]
+    return h1, tuple(kernel)
 
 
 def solve_orientation_weights(p: Presentation) -> tuple[int, ...]:

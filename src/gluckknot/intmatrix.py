@@ -1,16 +1,12 @@
-"""Exact integer matrices: Smith normal form, cokernels, kernel vectors, and
-determinants by fraction-free elimination (`echelon`).
+"""Exact integer matrices: Smith normal form, cokernels and kernel vectors.
 
 All arithmetic is arbitrary-precision; no floating point anywhere.  Coset
 enumeration needs only the rank (`echelon.rank`), so `enum` and `gluck`
-never load this module.  No subcommand takes a determinant, which imports
-`echelon` when called, so `alex` and `family` never load it.
+never load this module.
 """
 
 from __future__ import annotations
 
-from math import gcd as int_gcd
-from operator import floordiv, mul, sub
 from typing import NamedTuple, Sequence
 
 
@@ -68,19 +64,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r})"
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact integer determinant by fraction-free elimination (`_echelon`)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    from .echelon import _echelon
-
-    a, pivots, negated = _echelon(m.data, mul, sub, floordiv, 1)
-    if len(pivots) < m.rows:
-        return 0
-    det = a[-1][-1] if a else 1
-    return -det if negated else det
 
 
 class SmithForm(NamedTuple):
@@ -204,17 +187,3 @@ class AbelianGroup(NamedTuple):
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """Cokernel of a relator-by-generator exponent matrix."""
     return smith_normal_form(a, with_left=False).cokernel()
-
-
-def primitive_vector(v: Sequence[int]) -> list[int]:
-    """Divide by the gcd of entries and make the first nonzero entry positive."""
-    g = 0
-    for x in v:
-        g = int_gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    out = [x // g for x in v]
-    first = next(x for x in out if x)
-    if first < 0:
-        out = [-x for x in out]
-    return out

@@ -9,6 +9,7 @@ minors of `minors`) share one set of list kernels on its coefficients.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from math import gcd as int_gcd
 from types import MappingProxyType
@@ -130,39 +131,24 @@ class LaurentPolynomial:
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPolynomial":
-        """Parse forms like `-t^2+3t-1`, `t^-1`, `2t`, `0`."""
+        """Parse forms like `-t^2+3t-1`, `t^-1`, `2t`, `0`: one term after
+        another, each a sign, a magnitude, t and an exponent, all optional."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial text")
+        term = re.compile(r"([+-]?)(\d*)(t(\^(-?\d*))?)?").match
         coeffs: dict[int, int] = {}
         pos = 0
-        n = len(s)
-        while pos < n:
-            sign = -1 if s[pos] == "-" else 1
-            pos += s[pos] in "+-"
-            start = pos
-            while pos < n and s[pos].isdigit():
-                pos += 1
-            mag_text = s[start:pos]
-            if pos < n and s[pos] == "t":
-                pos += 1
-                exponent = 1
-                if pos < n and s[pos] == "^":
-                    pos += 1
-                    estart = pos
-                    if pos < n and s[pos] == "-":
-                        pos += 1
-                    while pos < n and s[pos].isdigit():
-                        pos += 1
-                    if pos == estart or s[estart:pos] == "-":
-                        raise ValueError(f"bad exponent in {text!r}")
-                    exponent = int(s[estart:pos])
-            else:
-                exponent = 0
-                if not mag_text:
-                    raise ValueError(f"bad term at position {start} in {text!r}")
-            mag = int(mag_text) if mag_text else 1
-            coeffs[exponent] = coeffs.get(exponent, 0) + sign * mag
+        while pos < len(s):
+            m = term(s, pos)
+            sign, mag, t, caret, exponent = m.groups()
+            if caret and exponent in ("", "-"):
+                raise ValueError(f"bad exponent in {text!r}")
+            if not (t or mag):
+                raise ValueError(f"bad term at position {m.start(2)} in {text!r}")
+            e = int(exponent) if caret else 1 if t else 0
+            coeffs[e] = coeffs.get(e, 0) + int(sign + (mag or "1"))
+            pos = m.end()
         return cls(coeffs)
 
 

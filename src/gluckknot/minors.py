@@ -35,9 +35,9 @@ def maximal_minors(
     swaps.  Fraction-free back substitution (Nakos, Turner and Williams
     1997) solves the echelon system for D times the coordinates of column f
     in the pivot columns: y_k = (D a[k][f] - sum_{j>k} a[k][p_j] y_j) /
-    a[k][p_k], exact because by Cramer's rule y_k is the determinant with
-    column p_k replaced by column f.  Moving f back into place past the
-    |f - p_k| - 1 columns in between gives minor(-p_k) = +-s y_k."""
+    a[k][p_k], exact because by Cramer's rule y_k is the minor on the pivot
+    columns with column p_k replaced by column f.  Moving f back into place
+    past the |f - p_k| - 1 columns in between gives minor(-p_k) = +-s y_k."""
     m = len(rows)
     a, pivots, negated = _echelon(rows, mul, sub, div, one)
     zero = sub(one, one)

@@ -101,8 +101,6 @@ def gluck_handle_counts(c: HandleCounts, variant: GluckVariant) -> HandleCounts:
         raise InvalidRibbonError(f"{c} is not a ribbon complement handle count")
     if variant is GluckVariant.SINGLE:
         return HandleCounts(1, m, m + n, n, 1)
-    if c.h1 < 2:
-        raise InvalidRibbonError("double blow-down needs at least two 1-handles")
     return HandleCounts(1, m - 1, m + n, n + 1, 1)
 
 

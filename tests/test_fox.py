@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from determinant import determinant
 from gluckknot import cli, fox, minors
 from gluckknot.fox import (
     MAX_MINOR_WORK,
@@ -30,7 +31,6 @@ from gluckknot.groupring import (
     fox_derivative,
     fundamental_identity_check,
 )
-from gluckknot.echelon import _echelon
 from gluckknot.intmatrix import IntMatrix, cokernel
 from gluckknot.laurent import (
     LaurentPolynomial,
@@ -289,13 +289,9 @@ def laurent_determinant(rows):
     themselves, dividing exactly over Z[t, t^-1]; shares no row-shifting
     code with the minors it checks."""
     one = LaurentPolynomial.constant(1)
-    a, pivots, negated = _echelon(
+    return determinant(
         rows, operator.mul, operator.sub, lambda num, den: divide_exact(den, num), one
     )
-    if len(pivots) < len(a):
-        return one - one
-    det = a[-1][-1] if a else one
-    return -det if negated else det
 
 
 small_poly_st = st.dictionaries(

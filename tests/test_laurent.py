@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gluckknot.laurent import (
@@ -42,6 +42,68 @@ class TestParsePrint:
             L("t^")
         with pytest.raises(ValueError):
             L("")
+
+
+def loop_parse(text: str) -> LaurentPolynomial:
+    """Oracle: the cursor loop that `LaurentPolynomial.parse` replaced by one
+    term pattern, kept verbatim."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial text")
+    coeffs: dict[int, int] = {}
+    pos = 0
+    n = len(s)
+    while pos < n:
+        sign = -1 if s[pos] == "-" else 1
+        pos += s[pos] in "+-"
+        start = pos
+        while pos < n and s[pos].isdigit():
+            pos += 1
+        mag_text = s[start:pos]
+        if pos < n and s[pos] == "t":
+            pos += 1
+            exponent = 1
+            if pos < n and s[pos] == "^":
+                pos += 1
+                estart = pos
+                if pos < n and s[pos] == "-":
+                    pos += 1
+                while pos < n and s[pos].isdigit():
+                    pos += 1
+                if pos == estart or s[estart:pos] == "-":
+                    raise ValueError(f"bad exponent in {text!r}")
+                exponent = int(s[estart:pos])
+        else:
+            exponent = 0
+            if not mag_text:
+                raise ValueError(f"bad term at position {start} in {text!r}")
+        mag = int(mag_text) if mag_text else 1
+        coeffs[exponent] = coeffs.get(exponent, 0) + sign * mag
+    return LaurentPolynomial(coeffs)
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet="t^+-019 x\u0663\u00b2", max_size=10))
+@example("3 + t^-2 - 10t")
+@example("\u0663t^-\u0663")  # Arabic-Indic 3: a decimal digit to both
+@example("3+")
+@example("--1")
+@example("t^-")
+@example("2t^x")
+@example("2\u00b2t^")  # superscript 2: the loop reads it, the pattern does not
+def test_parse_matches_the_loop(text):
+    try:
+        expected = loop_parse(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            L(text)
+        # the loop takes a digit that is not decimal, such as a superscript,
+        # into a magnitude and fails later, in int() or at a bad exponent;
+        # the pattern stops before it: both refuse, in other words
+        if all(c.isdecimal() or not c.isdigit() for c in text):
+            assert str(raised.value) == str(error)
+    else:
+        assert L(text) == expected
 
 
 class TestArithmetic:

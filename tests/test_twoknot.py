@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gluckknot.coset import certify_trivial
@@ -60,6 +62,14 @@ class TestHandleCounts:
     def test_double_blow_down(self):
         c = complement_handle_counts(1, 1)
         assert gluck_handle_counts(c, GluckVariant.DOUBLE).as_tuple() == (1, 0, 2, 2, 1)
+
+    def test_double_blow_down_needs_two_one_handles(self):
+        # a count with one 1-handle fails the shape check, which asks for
+        # m = h1 - 1 >= 1, before any blow-down
+        c = HandleCounts(1, 1, 1, 1, 1)
+        message = f"{c} is not a ribbon complement handle count"
+        with pytest.raises(InvalidRibbonError, match=f"^{re.escape(message)}$"):
+            gluck_handle_counts(c, GluckVariant.DOUBLE)
 
     def test_gluck_euler_two(self):
         for m in range(1, 51):
