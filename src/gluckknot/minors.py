@@ -70,34 +70,6 @@ def _bareiss_div(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-def _shifted_dense(
-    rows: Sequence[Sequence[LaurentPolynomial]],
-) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """Each row times the power of t that makes its exponents non-negative,
-    as dense coefficients over Z[t]; also the total power, by which every
-    maximal minor is shifted."""
-    shift = 0
-    dense = []
-    for row in rows:
-        lo = min((entry.low for entry in row if entry), default=0)
-        shift += lo
-        dense.append([(0,) * (e.low - lo) + e.dense if e else () for e in row])
-    return shift, dense
-
-
-def laurent_maximal_minors(
-    rows: Sequence[Sequence[LaurentPolynomial]],
-) -> list[LaurentPolynomial]:
-    """All maximal minors of an m x (m+1) matrix over Z[t, t^-1] from one
-    elimination over Z[t] (`maximal_minors`) on the shifted rows
-    (`_shifted_dense`); entry j is the minor with column j deleted."""
-    shift, dense = _shifted_dense(rows)
-    return [
-        _poly(shift, minor)
-        for minor in maximal_minors(dense, _mul, _sub, _bareiss_div, [1])
-    ]
-
-
 class AlexanderMatrix(NamedTuple):
     """Abelianized Fox derivatives: one row per relator, one column per
     generator."""
@@ -141,11 +113,15 @@ def first_ideal_minors(p: Presentation) -> list[LaurentPolynomial]:
     rows before columns in lexicographic order.  With no relators the one
     0 x 0 minor is 1.  Raises MinorBoundError past MAX_ROW_SUBSETS or
     MAX_MINOR_WORK (see `alexander_matrix`)."""
-    _check_row_subsets(p)
-    return list(_minors(alexander_matrix(p)))
+    return list(_row_subset_minors(p, None))
 
 
-def _check_row_subsets(p: Presentation) -> None:
+def _row_subset_minors(
+    p: Presentation, weights: tuple[int, ...] | None
+) -> Iterator[LaurentPolynomial]:
+    """The minors of `first_ideal_minors`, lazily, once the row subsets are
+    checked against MAX_ROW_SUBSETS (before any Fox row is built) and the
+    matrix is built within its bounds."""
     k = max(p.ngens - 1, 0)
     subsets = comb(len(p.relators), k)
     if subsets > MAX_ROW_SUBSETS:
@@ -153,6 +129,7 @@ def _check_row_subsets(p: Presentation) -> None:
             f"the Alexander matrix has {subsets} row subsets of size {k}, "
             f"more than the limit of {MAX_ROW_SUBSETS}"
         )
+    return _minors(alexander_matrix(p, weights))
 
 
 def _minor_work(extents: list[list[tuple[int, int]]], cols: int) -> int:
@@ -188,10 +165,19 @@ def _check_fold(lengths: list[int]) -> None:
 
 
 def _minors(matrix: AlexanderMatrix) -> Iterator[LaurentPolynomial]:
-    """One elimination per row subset gives the minors of all its column
-    subsets; lexicographic column subsets delete the last column first."""
-    for rows in combinations(matrix.entries, matrix.cols - 1):
-        yield from reversed(laurent_maximal_minors(rows))
+    """One elimination over Z[t] per row subset gives the minors of all its
+    column subsets; lexicographic column subsets delete the last column
+    first.  Each row is shifted into Z[t] once, by its lowest exponent, and
+    the minors of a subset by the sum of its rows' shifts."""
+    rows = []
+    for row in matrix.entries:
+        lo = min((entry.low for entry in row if entry), default=0)
+        rows.append((lo, [(0,) * (e.low - lo) + e.dense if e else () for e in row]))
+    for subset in combinations(rows, matrix.cols - 1):
+        shift = sum(lo for lo, _ in subset)
+        dense = [row for _, row in subset]
+        minors = maximal_minors(dense, _mul, _sub, _bareiss_div, [1])
+        yield from (_poly(shift, minor) for minor in reversed(minors))
 
 
 def _one_minor_certifies(
@@ -200,11 +186,10 @@ def _one_minor_certifies(
     """Whether some first-ideal minor is a unit multiple of delta, row
     subsets in order; False past the bounds of `first_ideal_minors`."""
     try:
-        _check_row_subsets(p)
-        matrix = alexander_matrix(p, weights)
+        minors = _row_subset_minors(p, weights)
     except MinorBoundError:
         return False
-    return any(unit_equivalent(m, delta) for m in _minors(matrix))
+    return any(unit_equivalent(m, delta) for m in minors)
 
 
 def _gcd_of_minors(
@@ -214,8 +199,7 @@ def _gcd_of_minors(
     as the exponent matrix has rank n-1), certified when a nonzero minor is a
     unit multiple of it.  Raises MinorBoundError past the bounds of
     `first_ideal_minors`, and past MAX_MINOR_WORK for the gcd, before it."""
-    _check_row_subsets(p)
-    minors = list(_minors(alexander_matrix(p, weights)))
+    minors = list(_row_subset_minors(p, weights))
     nonzero = [m for m in minors if not m.is_zero()]
     if not nonzero:
         raise FoxInternalError("all Alexander minors vanish, yet H1 has free rank 1")

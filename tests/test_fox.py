@@ -9,7 +9,7 @@ from itertools import combinations
 from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from determinant import determinant
@@ -333,7 +333,10 @@ def wirtinger_torus(n):
     "p",
     [pres(r) for r in GOLDEN]
     + [pres("xyxYXY"), Presentation.parse("< x | >")]
-    + [wirtinger_torus(n) for n in (3, 5, 7, 9, 11)],
+    + [wirtinger_torus(n) for n in (3, 5, 7, 9, 11)]
+    # torsion in H1: weights (1, 0), and (3, 2, 2) with no weight +-1
+    + [Presentation.parse("<x,y | y^2, xyXY>")]
+    + [Presentation.parse("<x,y,z | x^2 Y^3, y^2 Z^2>")],
 )
 def test_minors_match_laplace(p):
     matrix = alexander_matrix(p)
@@ -386,6 +389,13 @@ def wide_laurent_st(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(wide_laurent_st())
+# each row is shifted into Z[t] by its own lowest exponent: rows whose lowest
+# exponents lie far apart, an all-zero row (shift 0), a single nonzero entry
+@example(
+    ([[L("t^-40+t^-38"), L("3"), L("2t^-39")], [L("t^35"), L("0"), L("t^37-t^36")]], 3)
+)
+@example(([[L("t^-2"), L("1-t"), L("t^3")], [L("0")] * 3, [L("t"), L("2"), L("t^-1")]], 3))
+@example(([[L("0"), L("-2t^-5"), L("0")], [L("1+t"), L("t^4"), L("2")]], 3))
 def test_minors_match_per_minor_oracle(case):
     rows, cols = case
     matrix = AlexanderMatrix(tuple(map(tuple, rows)), weights=(0,) * cols)
@@ -435,7 +445,7 @@ def test_row_subset_bound_at_limit():
     assert alexander_polynomial(p).polynomial == LaurentPolynomial.constant(1)
 
 
-def test_row_subset_bound_above_limit():
+def test_row_subset_bound_above_limit(monkeypatch):
     # the minors are refused; Delta, from one elimination of the y column
     # (x has weight 1), is not, and the elimination certifies it
     message = f"the Alexander matrix has {MAX_ROW_SUBSETS + 1} row subsets"
@@ -446,6 +456,11 @@ def test_row_subset_bound_above_limit():
     assert result.polynomial == LaurentPolynomial.constant(1)
     assert result.certified_principal
     # with H1 = Z + Z/2 the input stays on the row-subset path and is refused
+    # before any Alexander matrix is built
+    def built(p, weights=None):
+        raise AssertionError("the Alexander matrix was built")
+
+    monkeypatch.setattr(minors, "alexander_matrix", built)
     p = relators_around_limit(1, first="yy")
     with pytest.raises(MinorBoundError, match=message):
         first_ideal_minors(p)
@@ -471,11 +486,11 @@ class EliminationReached(Exception):
 def test_minor_work_bound_at_limit(monkeypatch):
     e = isqrt(MAX_MINOR_WORK // 2)  # 2e^2 <= limit < 2(e+1)^2
 
-    def stop(rows):
+    def stop(rows, mul, sub, div, one):
         raise EliminationReached
 
     # the block at the limit is admitted (its eliminations take seconds)
-    monkeypatch.setattr(minors, "laurent_maximal_minors", stop)
+    monkeypatch.setattr(minors, "maximal_minors", stop)
     with pytest.raises(EliminationReached):
         alexander_polynomial(chain3(e))
     with pytest.raises(EliminationReached):
@@ -484,7 +499,7 @@ def test_minor_work_bound_at_limit(monkeypatch):
 
 def test_minor_work_bound_above_limit(monkeypatch):
     e = isqrt(MAX_MINOR_WORK // 2) + 1
-    monkeypatch.setattr(minors, "laurent_maximal_minors", None)  # never reached
+    monkeypatch.setattr(minors, "maximal_minors", None)  # never reached
     message = f"estimated {2 * e * e} coefficient products, more than the limit"
     with pytest.raises(MinorBoundError, match=message):
         alexander_polynomial(chain3(e))
@@ -775,7 +790,7 @@ def bound_pair(n):
 
 def test_elimination_bound_at_limit(monkeypatch):
     n = 3157  # 9995077 products; 3158 would take 10001401
-    monkeypatch.setattr(minors, "laurent_maximal_minors", None)  # never reached
+    monkeypatch.setattr(minors, "maximal_minors", None)  # never reached
     result = alexander_polynomial(bound_pair(n))
     assert result.polynomial == L(f"t^{2 * n + 1}-t^{n}-t+2")
     assert result.certified_principal
@@ -790,7 +805,7 @@ def test_elimination_bound_above_limit(monkeypatch):
 
     fox_pseudo_quotient = fox.pseudo_quotient
     monkeypatch.setattr(fox, "pseudo_quotient", spy)
-    monkeypatch.setattr(minors, "laurent_maximal_minors", None)  # never reached
+    monkeypatch.setattr(minors, "maximal_minors", None)  # never reached
     message = (
         "the elimination of the Alexander matrix needs an estimated 10001401 "
         f"coefficient products, more than the limit of {MAX_MINOR_WORK}"

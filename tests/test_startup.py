@@ -176,6 +176,9 @@ def ast_nodes(module):
         # LaurentPolynomial.parse reads its text with one term pattern
         (("alex", "<x, y | xyxYXY>"), 8540),
         (("family", "--grid", "0..1", "0..1", "--json"), 10725),
+        # the first cap on the row-subset path of alex (H1 = Z + Z/2), which
+        # also loads minors and echelon, since minors has one pipeline
+        (("alex", "<x,y | y^2>"), 10425),
     ],
 )
 def test_subcommand_compiles_within_budget(argv, budget):
