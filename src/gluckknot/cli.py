@@ -28,7 +28,8 @@ from .cli_common import SUBCOMMANDS, PreconditionError, UsageError, report
 # same GRAMMARs and words every error.  Each handler converts the library
 # errors that user input can cause into UsageError (exit 1) or
 # PreconditionError (exit 2), and returns its JSON payload (None for `family`,
-# whose lines encode themselves) and its text lines; `main` alone writes them.
+# whose lines encode themselves) and its text lines; `main` alone writes them,
+# a payload under --json as the text of jsonout.dumps, which loads no `json`.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,9 +100,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             handler = import_module(f".cli_{args.subcommand}", __package__)
             payload, lines = handler.run(args)
             if args.json and payload is not None:
-                import json
+                from .jsonout import dumps
 
-                lines = [json.dumps(report(args.subcommand, payload), sort_keys=True)]
+                lines = [dumps(report(args.subcommand, payload))]
         lines = iter(lines)  # a family stream raises its errors in here
         while chunk := list(islice(lines, 4096)):  # one write per chunk: flat memory
             print("\n".join(chunk), flush=True)  # so a closed pipe raises here

@@ -50,9 +50,9 @@ def _family_parts(record: dict, as_json: bool) -> list[str]:
     """A record's output line cut at its p and q values.  Every other field
     depends only on the parity class, so one cut serves the whole class."""
     if as_json:
-        import json
+        from .jsonout import dumps
 
-        text = json.dumps(report("family", {**record, "p": 0, "q": 0}), sort_keys=True)
+        text = dumps(report("family", {**record, "p": 0, "q": 0}))
         return re.split(r'(?<="[pq]": )0', text)
     cells = [str(record[c]) for c in FAMILY_COLUMNS[2:9]]
     cells += (",".join(map(str, hc)) for hc in record["handle_counts"].values())

@@ -33,30 +33,12 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.data == other.data
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [
-                [
-                    sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
         )
 
     def column(self, j: int) -> list[int]:
@@ -72,12 +54,6 @@ class SmithForm(NamedTuple):
     diagonal: tuple[int, ...]
     left: IntMatrix
     right: IntMatrix
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        d = IntMatrix.zero(rows, cols)
-        for i, v in enumerate(self.diagonal):
-            d.data[i][i] = v
-        return d
 
     def cokernel(self) -> "AbelianGroup":
         """Cokernel of the diagonalized matrix: one Z per zero or missing

@@ -83,22 +83,6 @@ class LaurentPolynomial:
     def scale(self, c: int) -> "LaurentPolynomial":
         return _poly(self.low, [c * v for v in self.dense])
 
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t^k."""
-        return _poly(self.low + k, self.dense)
-
-    @property
-    def min_exponent(self) -> int:
-        if not self.dense:
-            raise ValueError("zero polynomial has no exponents")
-        return self.low
-
-    @property
-    def max_exponent(self) -> int:
-        if not self.dense:
-            raise ValueError("zero polynomial has no exponents")
-        return self.low + len(self.dense) - 1
-
     def content(self) -> int:
         """Gcd of coefficients (non-negative); 0 for the zero polynomial."""
         return int_gcd(*self.dense)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gluckknot import __version__, cli, cli_common, cli_family, twoknot
+from gluckknot import __version__, cli, cli_common, cli_family, jsonout, twoknot
 from gluckknot.cli import MAX_GRID_RECORDS, _read, main
 from gluckknot.cli_argparse import build_parser
 from gluckknot.cli_common import UsageError
@@ -313,17 +313,20 @@ class TestFamilyRendersEachParityClassOnce:
     GRID = ("family", "--grid", "-20..20", "-20..20")
 
     def test_json_encodes_once_per_class(self, capsys, monkeypatch):
-        calls = []
-        dumps = json.dumps
+        # dumps recurses through the module global, so only the calls on a
+        # whole report count
+        reports = []
+        dumps = jsonout.dumps
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return dumps(*args, **kwargs)
+        def counted(value):
+            if isinstance(value, dict) and "tool_version" in value:
+                reports.append(value)
+            return dumps(value)
 
-        monkeypatch.setattr(json, "dumps", counted)
+        monkeypatch.setattr(jsonout, "dumps", counted)
         code, out, _ = run(capsys, *self.GRID, "--json")
         assert code == 0 and out.count("\n") == 41 * 41
-        assert 1 <= len(calls) <= 4
+        assert 1 <= len(reports) <= 4
 
     def test_tsv_builds_one_row_tail_per_class(self, capsys, monkeypatch):
         # each row tail formats the record's three handle-count lists
@@ -692,6 +695,36 @@ def test_cli_fuzz(argv, bound):
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert time.perf_counter() - start < 10.0
+
+
+def relator_presentation():
+    """Presentation text on x, y, z whose relators are words of letters."""
+    return st.sampled_from(["x", "xy", "xyz"]).flatmap(
+        lambda gens: st.lists(
+            st.text(alphabet=gens + gens.upper(), min_size=1, max_size=10), max_size=3
+        ).map(lambda relators: f"<{', '.join(gens)} | {', '.join(relators)}>")
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(
+        [["alex"], ["enum", "--max-cosets", "200"], ["gluck", "--kill", "x"]]
+    ),
+    relator_presentation(),
+)
+def test_json_report_is_what_json_writes(command, text):
+    """A --json report is the text of json.dumps(its value, sort_keys=True):
+    jsonout, the CLI's writer, against its oracle."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*command, text, "--json"])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == (code == 0)
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
 def parse_with_argparse(argv):

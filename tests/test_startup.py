@@ -51,9 +51,8 @@ def imported_modules(*argv):
 
 
 def loaded_modules(*argv):
-    """The gluckknot modules and `json` among `imported_modules(*argv)`."""
-    names = imported_modules(*argv)
-    return {n for n in names if n == "json" or n.split(".")[0] == "gluckknot"}
+    """The gluckknot modules among `imported_modules(*argv)`."""
+    return {n for n in imported_modules(*argv) if n.split(".")[0] == "gluckknot"}
 
 
 # every call loads cli_common, which the front shares with the subcommand
@@ -84,6 +83,18 @@ FAMILY_MODULES = (
 GLUCK_MODULES = FRONT_MODULES | {"gluckknot.cli_gluck"}
 TRIVIAL_GLUCK_MODULES = GLUCK_MODULES | {"gluckknot.words"}
 
+JSON_MODULES = {"gluckknot.jsonout"}
+
+# the ladder's calls of the benchmark, as it makes them at seed 0: alex on the
+# Wirtinger presentation of T(2,3), enum on the Coxeter group A4
+WIRTINGER_T23 = ("alex", "< a, b, c | baBC, cbCA, acAB >", "--json")
+COXETER_A4 = (
+    "enum",
+    "< a, b, c, d | aa, bb, cc, dd, ababab, acac, adad, bcbcbc, bdbd, cdcdcd >",
+    "--max-cosets",
+    "60000",
+    "--json",
+)
 
 WELL_FORMED = [
     (("--version",), FRONT_MODULES),
@@ -93,9 +104,15 @@ WELL_FORMED = [
     (("family", "1", "2"), FAMILY_MODULES),
     (("family", "1", "2", "--tsv"), FAMILY_MODULES),
     (("family", "--grid", "0..1", "0..1"), FAMILY_MODULES),
-    (("family", "--grid", "0..1", "0..1", "--json"), FAMILY_MODULES | {"json"}),
+    (("family", "--grid", "0..1", "0..1", "--json"), FAMILY_MODULES | JSON_MODULES),
     # the quotient < y | > keeps a generator, so certify_trivial builds a table
     (("gluck", "<x, y | xyXY>", "--kill", "x"), GLUCK_MODULES | TABLE_MODULES),
+    (WIRTINGER_T23, ALEX_MODULES | JSON_MODULES),
+    (COXETER_A4, ENUM_MODULES | JSON_MODULES),
+    (
+        ("gluck", "<x, y | xyxYXY>", "--kill", "x", "--json"),
+        TRIVIAL_GLUCK_MODULES | JSON_MODULES,
+    ),
 ]
 
 
@@ -110,6 +127,14 @@ def test_well_formed_line_never_imports_argparse(argv):
     # and locale) and building its parsers took some 4 ms a call
     names = imported_modules(*argv)
     assert not {"argparse", "gettext", "locale", "gluckknot.cli_argparse"} & names
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in WELL_FORMED])
+def test_well_formed_line_never_imports_json(argv):
+    # jsonout writes a --json report: importing json (json.decoder, json.scanner
+    # and json.encoder, six patterns compiled) took some 1.5 ms a call
+    names = imported_modules(*argv)
+    assert not {"json", "json.decoder", "json.encoder", "json.scanner"} & names
 
 
 def test_declined_line_loads_the_argparse_fallback():
@@ -179,10 +204,18 @@ def ast_nodes(module):
         # the first cap on the row-subset path of alex (H1 = Z + Z/2), which
         # also loads minors and echelon, since minors has one pipeline
         (("alex", "<x,y | y^2>"), 10425),
+        # the caps since intmatrix lost the matrix products and laurent the
+        # shift and exponent bounds, which only the tests used, and the first
+        # on the ladder's --json lines of alex and enum, which compile
+        # gluckknot.jsonout, the writer of every --json report
+        (("alex", "<x, y | xyxYXY>"), 8275),
+        (("alex", "<x,y | y^2>"), 10175),
+        (WIRTINGER_T23, 8525),
+        (COXETER_A4, 6175),
     ],
 )
 def test_subcommand_compiles_within_budget(argv, budget):
-    modules = (loaded_modules(*argv) - {"json"}) | {"gluckknot.cli"}
+    modules = loaded_modules(*argv) | {"gluckknot.cli"}
     nodes = {module: ast_nodes(module) for module in sorted(modules)}
     # the message names each module's count, so a cap that breaks shows
     # which module grew
