@@ -34,6 +34,12 @@ class _TableOverflow(Exception):
     pass
 
 
+def _columns(word: Word) -> tuple[int, ...]:
+    """The table column of each letter: 2g for generator g, 2g + 1 for its
+    inverse."""
+    return tuple(2 * abs(a) - 2 + (a < 0) for a in word.letters)
+
+
 class CosetTable:
     """Mutable enumeration state, column-major: columns[col][c] is coset c's
     image under column col (2g for generator g, 2g + 1 for its inverse), -1
@@ -52,23 +58,14 @@ class CosetTable:
         # each column with the column of the inverse letter
         self.pairs = [(c, self.columns[k ^ 1]) for k, c in enumerate(self.columns)]
 
-    @staticmethod
-    def col(letter: int) -> int:
-        g = abs(letter) - 1
-        return 2 * g if letter > 0 else 2 * g + 1
-
-    @classmethod
-    def compile(cls, word: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Forward and inverse column numbers of a word's letters."""
-        cols = tuple(cls.col(a) for a in word.letters)
-        return cols, tuple(c ^ 1 for c in cols)
-
     def bind(self, word: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
         """Forward and inverse column lists of a word's letters.  Scans take
         them bound, so an enumeration binds each relator once."""
-        cols, back = self.compile(word)
-        column = self.columns.__getitem__
-        return tuple(map(column, cols)), tuple(map(column, back))
+        cols = _columns(word)
+        return (
+            tuple(map(self.columns.__getitem__, cols)),
+            tuple(self.columns[c ^ 1] for c in cols),
+        )
 
     def rep(self, c: int) -> int:
         parent = self.parent
@@ -247,7 +244,7 @@ def _replay(
     no columns (no generators) the table has one coset."""
     identity = tuple(range(len(columns[0]) if columns else 1))
     for r in relators:
-        cols = CosetTable.compile(r)[0]
+        cols = _columns(r)
         cosets = columns[cols[0]] if cols else identity
         for col in cols[1:]:
             cosets = _gather(columns[col], cosets)
@@ -255,7 +252,7 @@ def _replay(
             raise AssertionError("relator does not close on the final table")
     for w in subgroup:
         c = 0
-        for col in CosetTable.compile(w)[0]:
+        for col in _columns(w):
             c = columns[col][c]
         if c != 0:
             raise AssertionError("subgroup word moves the base coset")

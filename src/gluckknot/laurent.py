@@ -191,17 +191,20 @@ def _sub(a: Sequence[int], b: Sequence[int], sign: int = -1) -> list[int]:
 
 
 def _pseudo_divmod(
-    a: Sequence[int], b: Sequence[int]
-) -> tuple[int, list[int], list[int]]:
+    a: Sequence[int], b: Sequence[int], exact: bool = False
+) -> Optional[tuple[int, list[int], list[int]]]:
     """c > 0, q and r with c * a = q * b + r over Z[t] and deg r < deg b, b
     nonzero.  Each step scales by lead(b) / gcd(lead(b), lead(r)) only, so c = 1 when
-    lead(b) divides every leading coefficient met."""
+    lead(b) divides every leading coefficient met; with `exact`, None at the
+    first step that would scale, before any coefficient grows."""
     r, lead = _strip(list(a)), b[-1]
     c, q = 1, [0] * max(len(r) - len(b) + 1, 0)
     while len(r) >= len(b):
         g = int_gcd(lead, r[-1]) if lead > 0 else -int_gcd(lead, r[-1])
         u, v = lead // g, r[-1] // g
         if u != 1:
+            if exact:
+                return None
             c, q, r = c * u, [x * u for x in q], [x * u for x in r]
         shift = len(r) - len(b)
         q[shift] = v
@@ -212,28 +215,10 @@ def _pseudo_divmod(
 
 
 def _div_exact(num: Sequence[int], den: Sequence[int]) -> Optional[list[int]]:
-    """Quotient q with num = den * q in Z[t], by integer long division from
-    the top, or None as soon as a leading coefficient does not divide.
-    Nonzero top coefficients; den is nonzero."""
-    if not num:
-        return []
-    top = len(num) - len(den)
-    if top < 0:
-        return None
-    lead = den[-1]
-    rem = list(num)
-    q = [0] * (top + 1)
-    for k in range(top, -1, -1):
-        c = rem[k + len(den) - 1]
-        if c:
-            if c % lead:
-                return None
-            f = q[k] = c // lead
-            for i, d in enumerate(den, k):
-                rem[i] -= f * d
-    if any(rem[: len(den) - 1]):
-        return None
-    return q
+    """Quotient q with num = den * q in Z[t], den nonzero, or None: integer
+    long division, the exact run of `_pseudo_divmod`."""
+    out = _pseudo_divmod(num, den, True)
+    return None if out is None or out[2] else out[1]
 
 
 def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:

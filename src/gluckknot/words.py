@@ -7,6 +7,7 @@ Letters are encoded as signed nonzero integers: +(i+1) is generator number i,
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 MAX_GENERATORS = 64
@@ -85,9 +86,10 @@ class Word:
         return max((abs(a) - 1 for a in self.letters), default=-1)
 
     def cyclically_reduced(self) -> "Word":
-        letters = list(self.letters)
+        letters = deque(self.letters)
         while len(letters) >= 2 and letters[0] == -letters[-1]:
-            letters = letters[1:-1]
+            letters.pop()
+            letters.popleft()
         return Word(letters)
 
     def exponent_sums(self, ngens: int) -> tuple[int, ...]:

@@ -48,10 +48,17 @@ def word_on(ngens, max_size):
     return st.lists(letters, max_size=max_size).map(Word)
 
 
+def letter_column(letter):
+    """Oracle column of a letter, stated apart from `coset`: 2g for
+    generator g, 2g + 1 for its inverse."""
+    g = abs(letter) - 1
+    return 2 * g if letter > 0 else 2 * g + 1
+
+
 def trace(table, start, word):
     c = start
     for a in word.letters:
-        c = table[c][CosetTable.col(a)]
+        c = table[c][letter_column(a)]
     return c
 
 
@@ -365,8 +372,8 @@ class SeedTable:
                     self.table[nu][col ^ 1] = mu
 
     def scan_and_fill(self, start, word):
-        cols = [CosetTable.col(a) for a in word]
-        back_cols = [CosetTable.col(-a) for a in word]
+        cols = [letter_column(a) for a in word]
+        back_cols = [letter_column(-a) for a in word]
         while True:
             start = self.rep(start)
             f, i = start, 0
@@ -925,13 +932,13 @@ def trace_replay(table, relators, subgroup):
             c = table[c][col]
         return c
 
-    relator_cols = [CosetTable.compile(r)[0] for r in relators]
+    relator_cols = [[letter_column(a) for a in r.letters] for r in relators]
     for c in range(len(table)):
         for cols in relator_cols:
             if trace(c, cols) != c:
                 raise AssertionError("relator does not close on the final table")
     for w in subgroup:
-        if trace(0, CosetTable.compile(w)[0]) != 0:
+        if trace(0, [letter_column(a) for a in w.letters]) != 0:
             raise AssertionError("subgroup word moves the base coset")
 
 

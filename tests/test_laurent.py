@@ -1,3 +1,5 @@
+import random
+import time
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 
 from gluckknot.laurent import (
     LaurentPolynomial,
+    _div_exact,
+    _mul,
+    _pseudo_divmod,
     divide_exact,
     divides,
     laurent_gcd,
@@ -274,6 +279,61 @@ class TestIntegerDivision:
     def test_low_remainder(self):
         # every leading step divides, but t^2+t+1 = (t+1) t + 1
         assert divide_exact(L("t+1"), L("t^2+t+1")) is None
+
+    def test_inexact_stops_before_scaling(self):
+        # 2 does not divide the top coefficient of t^20000; a run that scaled
+        # the remainder by 2 at each of the 20000 steps would take minutes
+        start = time.perf_counter()
+        assert divide_exact(L("2t+1"), L("t^20000")) is None
+        assert time.perf_counter() - start < 1.0
+
+
+def loop_div_exact(num, den):
+    """Oracle: the long division loop of its own that `_div_exact` ran
+    before it became the exact run of `_pseudo_divmod`."""
+    if not num:
+        return []
+    top = len(num) - len(den)
+    if top < 0:
+        return None
+    lead = den[-1]
+    rem = list(num)
+    q = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c = rem[k + len(den) - 1]
+        if c:
+            if c % lead:
+                return None
+            f = q[k] = c // lead
+            for i, d in enumerate(den, k):
+                rem[i] -= f * d
+    if any(rem[: len(den) - 1]):
+        return None
+    return q
+
+
+def test_div_exact_matches_the_loop():
+    # divisors with non-unit leading coefficients, and numerators that are
+    # multiples of them, multiples off by one in one coefficient, or random
+    rng = random.Random(27)
+
+    def coefficients(size, bound):
+        top = rng.choice([-1, 1]) * rng.randint(2, bound)
+        return [rng.randint(-bound, bound) for _ in range(size)] + [top]
+
+    for _ in range(3000):
+        den = coefficients(rng.randint(0, 4), 6)
+        q = coefficients(rng.randint(0, 6), 20)
+        num = _mul(den, q)
+        near = list(num)
+        near[rng.randrange(len(near))] += rng.choice([-1, 1])
+        assert _div_exact(num, den) == loop_div_exact(num, den) == q
+        for n in (near, coefficients(rng.randint(0, 10), 30)):
+            assert _div_exact(n, den) == loop_div_exact(n, den)
+            # the exact run is the plain one wherever no step scales
+            c, *rest = _pseudo_divmod(n, den)
+            exact = _pseudo_divmod(n, den, exact=True)
+            assert exact == (None if c != 1 else (c, *rest))
 
 
 

@@ -212,6 +212,15 @@ def ast_nodes(module):
         (("alex", "<x,y | y^2>"), 10175),
         (WIRTINGER_T23, 8525),
         (COXETER_A4, 6175),
+        # the caps since laurent runs exact division as the exact run of its
+        # one long-division loop, and coset maps a word to its columns once
+        (("enum", "<x | x^3>"), 5825),
+        (COXETER_A4, 6100),
+        (("gluck", "<x, y | xyXY>", "--kill", "x"), 5975),
+        (("alex", "<x, y | xyxYXY>"), 8150),
+        (("alex", "<x,y | y^2>"), 10050),
+        (WIRTINGER_T23, 8400),
+        (("family", "--grid", "0..1", "0..1", "--json"), 10600),
     ],
 )
 def test_subcommand_compiles_within_budget(argv, budget):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -147,6 +148,15 @@ def reduce_random_order(letters, rng):
         del letters[i : i + 2]
 
 
+def slicing_cyclically_reduced(word):
+    """Oracle: the loop that `Word.cyclically_reduced` ran before it popped
+    both ends of a deque, slicing the list once per cancelled pair."""
+    letters = list(word.letters)
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return Word(letters)
+
+
 class TestFreeReduction:
     def test_confluence_random_orders(self):
         rng = random.Random(7)
@@ -163,6 +173,25 @@ class TestFreeReduction:
     def test_cyclic_reduction(self):
         assert w("Xyxyx").cyclically_reduced() == w("yxy")
         assert w("xyX").cyclically_reduced() == w("y")
+
+    def test_cyclic_reduction_matches_the_slicing_loop(self):
+        rng = random.Random(27)
+
+        def random_word():
+            return Word(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 12)))
+
+        for _ in range(500):
+            conjugator = random_word()
+            word = conjugator * random_word() * ~conjugator
+            assert word.cyclically_reduced() == slicing_cyclically_reduced(word)
+
+    def test_cyclic_reduction_is_linear(self):
+        # x^50000 y x^-50000: slicing the list once per cancelled pair took
+        # seconds
+        word = Word([1] * 50000 + [2] + [-1] * 50000)
+        start = time.perf_counter()
+        assert word.cyclically_reduced() == Word([2])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPresentation:
