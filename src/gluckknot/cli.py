@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import __version__
 from .cli_common import MAX_GRID_RECORDS  # documented as gluckknot.cli's
-from .cli_common import SUBCOMMANDS, PreconditionError, UsageError, report
+from .cli_common import SUBCOMMANDS, report
 
 # `_read` below reads a well-formed command line without argparse, from the
 # GRAMMAR of its subcommand's handler module, cli_<name>, the one handler it
@@ -25,16 +25,24 @@ from .cli_common import SUBCOMMANDS, PreconditionError, UsageError, report
 # quotient that keeps generators: `words.certify_trivial` settles one
 # simplified to < | >, as every `family` quotient is, without a table.  Any
 # line `_read` declines goes to cli_argparse, which builds its parsers from the
-# same GRAMMARs and words every error.  Each handler converts the library
-# errors that user input can cause into UsageError (exit 1) or
-# PreconditionError (exit 2), and returns its JSON payload (None for `family`,
-# whose lines encode themselves) and its text lines; `main` alone writes them,
-# a payload under --json as the text of jsonout.dumps, which loads no `json`.
+# same GRAMMARs and words every error.  Each handler returns its JSON payload
+# (None for `family`, whose lines encode themselves) and its text lines; `main`
+# alone writes them, a payload under --json as the text of jsonout.dumps, which
+# loads no `json`, and `main` alone turns an error into its exit code, by
+# EXIT_CODES.
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PRECONDITION = 2
-EXIT_INTERNAL = 3
+# The exit code of each error a command line can cause, by the name of its
+# class or a base class: importing the class would load fox or twoknot on
+# subcommands that never run them.  Any other error propagates.
+EXIT_CODES = {
+    "UsageError": 1,
+    "TableBudgetError": 1,
+    "PresentationError": 2,  # a --kill of an unknown generator
+    "OrientationError": 2,
+    "MinorBoundError": 2,
+    "InvalidRibbonError": 2,
+    "AssertionError": 3,  # FoxInternalError included
+}
 
 
 def _is_value(word: str) -> bool:
@@ -106,19 +114,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         lines = iter(lines)  # a family stream raises its errors in here
         while chunk := list(islice(lines, 4096)):  # one write per chunk: flat memory
             print("\n".join(chunk), flush=True)  # so a closed pipe raises here
-        return EXIT_OK
+        return 0
     except BrokenPipeError:  # the reader left; the flush at exit must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except AssertionError as exc:  # FoxInternalError included
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return 0
+    except Exception as exc:
+        for cls in type(exc).__mro__:
+            if cls.__name__ in EXIT_CODES:
+                code = EXIT_CODES[cls.__name__]
+                kind = "internal error" if code == 3 else "error"
+                print(f"{kind}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

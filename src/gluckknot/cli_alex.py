@@ -4,19 +4,16 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cli_common import DEFAULTS, OPTIONS, PreconditionError, parse_presentation
+from .cli_common import DEFAULTS, OPTIONS, parse_presentation
 
 GRAMMAR = (OPTIONS, ("presentation",), str, DEFAULTS)
 
 
 def run(args) -> tuple[dict | None, Iterable[str]]:
-    from .fox import MinorBoundError, OrientationError, alexander_polynomial
+    from .fox import alexander_polynomial
 
     p = parse_presentation(args.presentation)
-    try:
-        result = alexander_polynomial(p)
-    except (OrientationError, MinorBoundError) as exc:
-        raise PreconditionError(str(exc)) from exc
+    result = alexander_polynomial(p)
     payload = {
         "input": str(p),
         "h1": str(result.h1),

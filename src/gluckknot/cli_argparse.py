@@ -19,6 +19,7 @@ from importlib import import_module
 
 from . import __version__
 from .cli_common import SUBCOMMANDS, UsageError
+from .cli_gluck import VARIANTS
 
 # What only argparse needs, per subcommand and per first option string: help,
 # metavar, and the choices of --variant, which argparse checks with no
@@ -33,7 +34,7 @@ _EXTRA = {
     "--grid": {"metavar": ("PRANGE", "QRANGE"), "help": "e.g. --grid -2..2 -2..2"},
     "--tsv": {"help": "tab-separated output"},
     "--kill": {"metavar": "GEN"},
-    "--variant": {"choices": ("single", "double"), "type": None},
+    "--variant": {"choices": VARIANTS, "type": None},
     "--bands": {"metavar": ("M", "N")},
     "--subgroup": {"help": "comma-separated subgroup words"},
 }

@@ -1,7 +1,6 @@
 """What the CLI front, its subcommand handlers and its argparse fallback
 share.  `python -m gluckknot.cli` runs cli.py as __main__, so nothing the
-others need may live there: importing it would compile a second copy, with
-error classes that `main` does not catch."""
+others need may live there: importing it would compile a second copy."""
 
 from __future__ import annotations
 
@@ -13,10 +12,6 @@ MAX_GRID_RECORDS = 100_000
 
 
 class UsageError(Exception):
-    pass
-
-
-class PreconditionError(Exception):
     pass
 
 

@@ -15,7 +15,7 @@ GRAMMAR = (
 
 
 def run(args) -> tuple[dict | None, Iterable[str]]:
-    from .coset import TableBudgetError, coset_index
+    from .coset import coset_index
     from .words import WordSyntaxError
 
     p = parse_presentation(args.presentation)
@@ -29,10 +29,7 @@ def run(args) -> tuple[dict | None, Iterable[str]]:
                 subgroup.append(p.word(text))
             except WordSyntaxError as exc:
                 raise UsageError(f"bad subgroup word {text!r}: {exc}") from exc
-    try:
-        order = coset_index(p, subgroup, args.max_cosets)  # None if not finite
-    except TableBudgetError as exc:
-        raise UsageError(str(exc)) from exc
+    order = coset_index(p, subgroup, args.max_cosets)  # None if not finite
     payload = {
         "input": str(p),
         "subgroup": [p.word_str(w) for w in subgroup],

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cli_common import DEFAULTS, OPTIONS, PreconditionError, UsageError
-from .cli_common import parse_presentation
+from .cli_common import DEFAULTS, OPTIONS, parse_presentation
+
+# what --variant accepts, and what cli_argparse offers as its choices
+VARIANTS = ("single", "double")
 
 
 def _variant(text: str) -> str:
-    if text not in ("single", "double"):
+    if text not in VARIANTS:
         raise ValueError(text)
     return text
 
@@ -29,17 +31,11 @@ GRAMMAR = (
 
 
 def run(args) -> tuple[dict | None, Iterable[str]]:
-    from .words import PresentationError, TableBudgetError, certify_trivial
+    from .words import certify_trivial
 
     p = parse_presentation(args.presentation)
-    try:
-        quotient = p.kill_generator(args.kill)
-    except PresentationError as exc:
-        raise PreconditionError(str(exc)) from exc
-    try:
-        cert = certify_trivial(quotient, args.max_cosets)
-    except TableBudgetError as exc:
-        raise UsageError(str(exc)) from exc
+    quotient = p.kill_generator(args.kill)
+    cert = certify_trivial(quotient, args.max_cosets)
     payload: dict = {
         "input": str(p),
         "kill": args.kill,
@@ -57,19 +53,11 @@ def run(args) -> tuple[dict | None, Iterable[str]]:
         f"variant: {args.variant}",
     ]
     if args.bands is not None:
-        from .twoknot import (
-            GluckVariant,
-            InvalidRibbonError,
-            complement_handle_counts,
-            gluck_handle_counts,
-        )
+        from .twoknot import GluckVariant, gluck_handle_counts
+        from .twoknot import complement_handle_counts
 
-        m, n = args.bands
-        try:
-            before = complement_handle_counts(m, n)
-            after = gluck_handle_counts(before, GluckVariant(args.variant))
-        except InvalidRibbonError as exc:
-            raise PreconditionError(str(exc)) from exc
+        before = complement_handle_counts(*args.bands)
+        after = gluck_handle_counts(before, GluckVariant(args.variant))
         chi = [before.euler_characteristic, after.euler_characteristic]
         payload["handle_counts"] = {
             "complement": list(before.as_tuple()),

@@ -533,6 +533,37 @@ def test_usage_error_exit_one(capsys):
     assert code == 1
 
 
+# the exception classes of gluckknot that are not in cli.EXIT_CODES, and why
+UNCLASSIFIED = {
+    "FoxInternalError": "an AssertionError, so it exits 3",
+    "_TableOverflow": "caught inside coset",
+    "WordSyntaxError": "cli_common and cli_enum wrap it in a UsageError",
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    defined = {}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        name = "gluckknot" if path.stem == "__init__" else f"gluckknot.{path.stem}"
+        module = import_module(name)
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException):
+                if value.__module__ == module.__name__:
+                    defined[value.__name__] = value
+    assert defined.keys() - cli.EXIT_CODES.keys() <= UNCLASSIFIED.keys()
+    assert cli.EXIT_CODES.keys() <= defined.keys() | {"AssertionError"}
+    assert issubclass(defined["FoxInternalError"], AssertionError)
+
+
+def test_unclassified_error_propagates(monkeypatch):
+    def boom(p):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("gluckknot.fox.alexander_polynomial", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["alex", EE])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,8 +3,10 @@ the source they compile, and the lazy package namespace that keeps the rest
 unloaded."""
 
 import ast
+import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,7 @@ finally:
 """
 
 
+@functools.cache  # one interpreter per distinct line and code in a session
 def run_cli(*argv, code=0):
     """The modules loaded at the exit of `python -m gluckknot.cli ARGV` (the
     CLI module itself runs as __main__), its stdout and the rest of its
@@ -43,16 +46,17 @@ def run_cli(*argv, code=0):
     assert proc.returncode == code, proc.stderr
     *rest, last = proc.stderr.splitlines(True)
     assert last.startswith("modules: "), proc.stderr
-    return set(last.split()[1:]), proc.stdout, "".join(rest)
+    return frozenset(last.split()[1:]), proc.stdout, "".join(rest)
 
 
-def imported_modules(*argv):
-    return run_cli(*argv)[0]
+def imported_modules(*argv, code=0):
+    return run_cli(*argv, code=code)[0]
 
 
-def loaded_modules(*argv):
-    """The gluckknot modules among `imported_modules(*argv)`."""
-    return {n for n in imported_modules(*argv) if n.split(".")[0] == "gluckknot"}
+def loaded_modules(*argv, code=0):
+    """The gluckknot modules among `imported_modules(*argv, code=code)`."""
+    names = imported_modules(*argv, code=code)
+    return {n for n in names if n.split(".")[0] == "gluckknot"}
 
 
 # every call loads cli_common, which the front shares with the subcommand
@@ -121,6 +125,20 @@ def test_subcommand_loads_only_what_it_runs(argv, modules):
     assert loaded_modules(*argv) == modules
 
 
+# `main` finds the exit code of an error by its class name, so refusing a
+# line loads no module beyond those that ran until the error
+ERROR_LINES = [
+    (("enum", "<x | x>", "--max-cosets", "8388609"), 1, ENUM_MODULES),
+    (("gluck", "<x, y | xyxYXyxyXY>", "--kill", "z"), 2, TRIVIAL_GLUCK_MODULES),
+    (("alex", "<x,y | >"), 2, ALEX_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv,code,modules", ERROR_LINES)
+def test_error_line_loads_only_what_it_runs(argv, code, modules):
+    assert loaded_modules(*argv, code=code) == modules
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in WELL_FORMED])
 def test_well_formed_line_never_imports_argparse(argv):
     # the reader of cli.py parses it: importing argparse (which loads gettext
@@ -152,80 +170,91 @@ def ast_nodes(module):
     return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
 
 
+def compiled_nodes(argv):
+    """The AST nodes of each gluckknot module that `argv` compiles."""
+    modules = loaded_modules(*argv) | {"gluckknot.cli"}
+    return {module: ast_nodes(module) for module in sorted(modules)}
+
+
 # With no bytecode cache (PYTHONDONTWRITEBYTECODE=1) every call compiles
 # cli.py and each module it loads from source, at 1-2 us per AST node
 # (in-process compile(), best of 40, 2 cores): 0.45 ms for echelon, 2.6-2.9 ms
 # for words, coset or laurent.  Cold code dragged onto a main path shows here.
 # Each group of caps below was the tightest when it was added; the earlier
-# groups stay as cases.
-@pytest.mark.parametrize(
-    "argv,budget",
-    [
-        (("enum", "<x | x^3>"), 7000),
-        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 7000),
-        (("alex", "<x, y | xyxYXY>"), 10800),
-        (("family", "--grid", "0..1", "0..1", "--json"), 14600),
-        # the caps since alex and family stopped compiling echelon, and family
-        # coset; the two above are the caps from before, kept as cases
-        (("alex", "<x, y | xyxYXY>"), 10400),
-        (("family", "--grid", "0..1", "0..1", "--json"), 12200),
-        # the caps since intmatrix lost bareiss and kernel_basis, coset the row
-        # layout of _replay, minors its second loop, and gluck stopped loading
-        # coset for a quotient that simplifies to < | >; those above are kept
-        (("enum", "<x | x^3>"), 6800),
-        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 4400),
-        (("gluck", "<x, y | xyXY>", "--kill", "x"), 6800),
-        (("alex", "<x, y | xyxYXY>"), 10250),
-        (("family", "--grid", "0..1", "0..1", "--json"), 11950),
-        # the caps since a well-formed line is read without argparse and each
-        # subcommand compiles only its own handler module, cli_<name>
-        (("enum", "<x | x^3>"), 6000),
-        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3700),
-        (("gluck", "<x, y | xyXY>", "--kill", "x"), 6100),
-        (("alex", "<x, y | xyxYXY>"), 9350),
-        (("family", "--grid", "0..1", "0..1", "--json"), 11550),
-        # the caps since each handler module states its own grammar, which
-        # cli.py no longer holds, and the first on `--version`, the path that
-        # the benchmark's setup_s times: cli, cli_common and the package
-        (("--version",), 1150),
-        (("enum", "<x | x^3>"), 5900),
-        (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3500),
-        (("gluck", "<x, y | xyXY>", "--kill", "x"), 6050),
-        (("alex", "<x, y | xyxYXY>"), 9125),
-        (("family", "--grid", "0..1", "0..1", "--json"), 11325),
-        # the caps since the Smith form runs as one elimination on the work
-        # matrix [[A, I], [I, 0]] and IntMatrix lost its unused copy()
-        (("alex", "<x, y | xyxYXY>"), 8850),
-        (("family", "--grid", "0..1", "0..1", "--json"), 11050),
-        # the caps since intmatrix lost determinant and primitive_vector, and
-        # LaurentPolynomial.parse reads its text with one term pattern
-        (("alex", "<x, y | xyxYXY>"), 8540),
-        (("family", "--grid", "0..1", "0..1", "--json"), 10725),
-        # the first cap on the row-subset path of alex (H1 = Z + Z/2), which
-        # also loads minors and echelon, since minors has one pipeline
-        (("alex", "<x,y | y^2>"), 10425),
-        # the caps since intmatrix lost the matrix products and laurent the
-        # shift and exponent bounds, which only the tests used, and the first
-        # on the ladder's --json lines of alex and enum, which compile
-        # gluckknot.jsonout, the writer of every --json report
-        (("alex", "<x, y | xyxYXY>"), 8275),
-        (("alex", "<x,y | y^2>"), 10175),
-        (WIRTINGER_T23, 8525),
-        (COXETER_A4, 6175),
-        # the caps since laurent runs exact division as the exact run of its
-        # one long-division loop, and coset maps a word to its columns once
-        (("enum", "<x | x^3>"), 5825),
-        (COXETER_A4, 6100),
-        (("gluck", "<x, y | xyXY>", "--kill", "x"), 5975),
-        (("alex", "<x, y | xyxYXY>"), 8150),
-        (("alex", "<x,y | y^2>"), 10050),
-        (WIRTINGER_T23, 8400),
-        (("family", "--grid", "0..1", "0..1", "--json"), 10600),
-    ],
-)
+# groups stay as cases.  `python tests/test_startup.py` prints the room.
+COMPILE_CAPS = [
+    (("enum", "<x | x^3>"), 7000),
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 7000),
+    (("alex", "<x, y | xyxYXY>"), 10800),
+    (("family", "--grid", "0..1", "0..1", "--json"), 14600),
+    # the caps since alex and family stopped compiling echelon, and family
+    # coset; the two above are the caps from before, kept as cases
+    (("alex", "<x, y | xyxYXY>"), 10400),
+    (("family", "--grid", "0..1", "0..1", "--json"), 12200),
+    # the caps since intmatrix lost bareiss and kernel_basis, coset the row
+    # layout of _replay, minors its second loop, and gluck stopped loading
+    # coset for a quotient that simplifies to < | >; those above are kept
+    (("enum", "<x | x^3>"), 6800),
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 4400),
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), 6800),
+    (("alex", "<x, y | xyxYXY>"), 10250),
+    (("family", "--grid", "0..1", "0..1", "--json"), 11950),
+    # the caps since a well-formed line is read without argparse and each
+    # subcommand compiles only its own handler module, cli_<name>
+    (("enum", "<x | x^3>"), 6000),
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3700),
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), 6100),
+    (("alex", "<x, y | xyxYXY>"), 9350),
+    (("family", "--grid", "0..1", "0..1", "--json"), 11550),
+    # the caps since each handler module states its own grammar, which
+    # cli.py no longer holds, and the first on `--version`, the path that
+    # the benchmark's setup_s times: cli, cli_common and the package
+    (("--version",), 1150),
+    (("enum", "<x | x^3>"), 5900),
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3500),
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), 6050),
+    (("alex", "<x, y | xyxYXY>"), 9125),
+    (("family", "--grid", "0..1", "0..1", "--json"), 11325),
+    # the caps since the Smith form runs as one elimination on the work
+    # matrix [[A, I], [I, 0]] and IntMatrix lost its unused copy()
+    (("alex", "<x, y | xyxYXY>"), 8850),
+    (("family", "--grid", "0..1", "0..1", "--json"), 11050),
+    # the caps since intmatrix lost determinant and primitive_vector, and
+    # LaurentPolynomial.parse reads its text with one term pattern
+    (("alex", "<x, y | xyxYXY>"), 8540),
+    (("family", "--grid", "0..1", "0..1", "--json"), 10725),
+    # the first cap on the row-subset path of alex (H1 = Z + Z/2), which
+    # also loads minors and echelon, since minors has one pipeline
+    (("alex", "<x,y | y^2>"), 10425),
+    # the caps since intmatrix lost the matrix products and laurent the
+    # shift and exponent bounds, which only the tests used, and the first
+    # on the ladder's --json lines of alex and enum, which compile
+    # gluckknot.jsonout, the writer of every --json report
+    (("alex", "<x, y | xyxYXY>"), 8275),
+    (("alex", "<x,y | y^2>"), 10175),
+    (WIRTINGER_T23, 8525),
+    (COXETER_A4, 6175),
+    # the caps since laurent runs exact division as the exact run of its
+    # one long-division loop, and coset maps a word to its columns once
+    (("enum", "<x | x^3>"), 5825),
+    (COXETER_A4, 6100),
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), 5975),
+    (("alex", "<x, y | xyxYXY>"), 8150),
+    (("alex", "<x,y | y^2>"), 10050),
+    (WIRTINGER_T23, 8400),
+    (("family", "--grid", "0..1", "0..1", "--json"), 10600),
+    # the caps since main decides every exit code from one table of error
+    # class names, and the handlers no longer re-wrap library errors
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3450),
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), 5925),
+    (("alex", "<x, y | xyxYXY>"), 8125),
+    (WIRTINGER_T23, 8375),
+]
+
+
+@pytest.mark.parametrize("argv,budget", COMPILE_CAPS)
 def test_subcommand_compiles_within_budget(argv, budget):
-    modules = loaded_modules(*argv) | {"gluckknot.cli"}
-    nodes = {module: ast_nodes(module) for module in sorted(modules)}
+    nodes = compiled_nodes(argv)
     # the message names each module's count, so a cap that breaks shows
     # which module grew
     counts = ", ".join(f"{module} {n}" for module, n in nodes.items())
@@ -287,3 +316,15 @@ def test_star_import_and_unknown_name():
     assert set(gluckknot.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         gluckknot.no_such_name
+
+
+if __name__ == "__main__":
+    # per distinct line of COMPILE_CAPS: the nodes it compiles, its tightest
+    # cap and the room left under that cap
+    caps = {}
+    for argv, budget in COMPILE_CAPS:
+        caps[argv] = min(budget, caps.get(argv, budget))
+    print("nodes\tcap\troom\tline")
+    for argv, cap in caps.items():
+        nodes = sum(compiled_nodes(argv).values())
+        print(f"{nodes}\t{cap}\t{cap - nodes}\t{shlex.join(argv)}")
