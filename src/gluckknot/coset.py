@@ -14,7 +14,7 @@ without a table; it is still reported as `exceeded`, like any overflow.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .echelon import rank
 from .words import Presentation, TableBudgetError, TrivialityCertificate, Word
@@ -23,8 +23,11 @@ from .words import certify_trivial
 # Most entries (cosets times 2 * generators) that max_cosets may let a coset
 # table reach; checked before allocating.  Columns grow in blocks but never
 # past one spare slot beyond max_cosets, so a table holds at most
-# (max_cosets + 1) * 2g entries.  Peak RSS: about 19 bytes an entry on
-# overflow, the worst case (two generators; 320 MB at the limit), 11 on S8.
+# (max_cosets + 1) * 2g entries, and fewer where an involution's two columns
+# are one list.  Peak RSS: about 19 bytes an entry on overflow, the worst
+# case (two generators; 320 MB at the limit).  S8 defines 52457 cosets in
+# seven lists, 367199 entries (734398 as the budget counts them): 8.94 MiB of
+# tracemalloc peak, 26 bytes an entry filled and 13 an entry budgeted.
 MAX_TABLE_ENTRIES = 1 << 24
 # the -1 slots a column grows by when a new coset takes its last slot
 BLOCK = (-1,) * 1024
@@ -32,6 +35,12 @@ BLOCK = (-1,) * 1024
 
 class _TableOverflow(Exception):
     pass
+
+
+# column lists of a table, one a letter of a word
+Columns = tuple[list[int], ...]
+# a word bound to a table: the columns of its letters, then of their inverses
+Bound = tuple[Columns, Columns]
 
 
 def _columns(word: Word) -> tuple[int, ...]:
@@ -43,38 +52,50 @@ def _columns(word: Word) -> tuple[int, ...]:
 class CosetTable:
     """Mutable enumeration state, column-major: columns[col][c] is coset c's
     image under column col (2g for generator g, 2g + 1 for its inverse), -1
-    if undefined.  Every slot past the last coset is -1 and each column has
-    at least one, so column[-1] is -1 and a walk that meets a gap stays at
-    -1.  Columns grow by a block of BLOCK slots when a new coset takes the
-    last one (`grow`), to at most max_cosets + 1 slots.  Dead cosets forward
-    to their replacement union-find style; once `coincidence` returns, live
-    rows reference only live cosets, so scans read them unresolved.
-    `renumber` ends the table, making it the final one."""
+    if undefined; the two columns of an involution are one list.  Every slot
+    past the last coset is -1 and each column has at least one, so
+    column[-1] is -1 and a walk that meets a gap stays at -1.  Columns grow
+    by a block of BLOCK slots when a new coset takes the last one (`grow`),
+    to at most max_cosets + 1 slots.  Dead cosets forward to their
+    replacement union-find style; once `coincidence` returns, live rows
+    reference only live cosets, so scans read them unresolved.  `renumber`
+    ends the table, making it the final one."""
 
-    def __init__(self, ngens: int, max_cosets: int):
+    def __init__(self, ngens: int, max_cosets: int, twins: Collection[int]):
+        """An empty table, but for coset 0.  `twins` are the columns G of the
+        involutions g: each is a twin of column g, the same list."""
         self.max_cosets = max_cosets
-        self.columns: list[list[int]] = [[-1, -1] for _ in range(2 * ngens)]
+        columns = self.columns = [[-1, -1] for _ in range(2 * ngens)]
+        for col in twins:
+            columns[col] = columns[col - 1]
         self.parent: list[int] = [0]
-        # each column with the column of the inverse letter
-        self.pairs = [(c, self.columns[k ^ 1]) for k, c in enumerate(self.columns)]
+        # each distinct column list once, with the column of the inverse
+        # letter; an involution's list is its own inverse
+        self.pairs = [
+            (c, columns[k ^ 1]) for k, c in enumerate(columns) if k not in twins
+        ]
 
-    def bind(self, word: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
-        """Forward and inverse column lists of a word's letters.  Scans take
-        them bound, so an enumeration binds each relator once."""
-        cols = _columns(word)
-        return (
-            tuple(map(self.columns.__getitem__, cols)),
-            tuple(self.columns[c ^ 1] for c in cols),
-        )
+    def bind(self, word: Word) -> Bound:
+        """Forward and inverse column lists of a word's letters, each pair of
+        adjacent letters on mutually inverse columns cancelled.  In a freely
+        reduced word those are gg, gG, Gg and GG for an involution g.  So no
+        letter's column is the inverse of the one before, as the scans need.
+        Scans take words bound, so an enumeration binds each relator once."""
+        columns, cols, back = self.columns, [], []
+        for k in _columns(word):
+            if back and back[-1] is columns[k]:
+                cols.pop()
+                back.pop()
+            else:
+                cols.append(columns[k])
+                back.append(columns[k ^ 1])
+        return tuple(cols), tuple(back)
 
     def rep(self, c: int) -> int:
         parent = self.parent
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
+        while parent[c] != c:  # path halving
+            parent[c] = c = parent[parent[c]]
+        return c
 
     def coincidence(self, a: int, b: int) -> None:
         """Merge the live cosets a and b and every coincidence that follows,
@@ -118,10 +139,8 @@ class CosetTable:
                     parent[e] = x
                     queue.append(e)
 
-    def scan_and_fill(
-        self, start: int, words: Sequence[tuple[tuple[list[int], ...], ...]]
-    ) -> None:
-        """Scan bound, freely reduced words from the live coset `start`, in
+    def scan_and_fill(self, start: int, words: Sequence[Bound]) -> None:
+        """Scan words bound by `bind` from the live coset `start`, in
         order, defining cosets at the first gap of each until it closes or
         deduces; stops early when a coincidence kills `start`.
 
@@ -186,7 +205,7 @@ class CosetTable:
         Raises _TableOverflow instead when d would pass the bound."""
         if d >= self.max_cosets:
             raise _TableOverflow
-        for column in self.columns:
+        for column, _ in self.pairs:
             column.extend(BLOCK[: self.max_cosets - d])
 
     def complete(self) -> Optional[list[int]]:
@@ -194,7 +213,7 @@ class CosetTable:
         undefined.  Changes nothing, so the enumeration can go on."""
         # root, not the enumerate counter: the live cosets' own int objects
         live = [root for c, root in enumerate(self.parent) if root == c]
-        if any(-1 in _gather(column, live) for column in self.columns):
+        if any(-1 in _gather(column, live) for column, _ in self.pairs):
             return None
         return live
 
@@ -276,9 +295,16 @@ def _final_columns(
     sums = p.exponent_matrix() + [w.exponent_sums(p.ngens) for w in subgroup_words]
     if rank(sums) < p.ngens:
         return None
-    ct = CosetTable(p.ngens, max_cosets)
+    # a generator g whose square is a relator is an involution, and its
+    # column G, 2g + 1 = 2|a| - 1 for either of its letters a, is a twin of
+    # column g: g^2 then binds to no letters and closes on any table, so
+    # like every relator that binds to none it is replayed, not scanned
+    twins = {
+        2 * abs(a) - 1 for r in p.relators for a in r.letters[:1] if r.letters == (a, a)
+    }
+    ct = CosetTable(p.ngens, max_cosets, twins)
     parent, pairs = ct.parent, ct.pairs
-    relators = [ct.bind(r) for r in p.relators]
+    relators = [w for w in map(ct.bind, p.relators) if w[0]]
     scan = ct.scan_and_fill
     try:
         scan(0, [ct.bind(w) for w in subgroup_words])
@@ -316,8 +342,13 @@ def enumerate_cosets(
     """HLT enumeration of cosets of <subgroup_words> in the presented group.
 
     Scans relators in presentation order from each live coset, defining new
-    cosets at the first undefined slot and merging coincidences eagerly.
-    Every finite outcome is replayed against the relators before returning.
+    cosets at the first undefined slot and merging coincidences eagerly.  A
+    generator g with g^2 or g^-2 among the relators is an involution and
+    gets one column for g and g^-1 both (Holt, Eick and O'Brien, ch. 5), so
+    HLT defines about half as many cosets on a Coxeter group, and those
+    relators close on every table: they are replayed, not scanned.  The
+    numbering of the table's cosets follows from those columns.  Every
+    finite outcome is replayed against every relator before returning.
     Raises TableBudgetError, a ValueError, when max_cosets could fill more
     than MAX_TABLE_ENTRIES.
 

@@ -150,18 +150,13 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
 
 def word_to_str(w: Word, generators: Sequence[str]) -> str:
     """Print a word in case-flip form; empty word prints as '1'."""
-    if w.is_identity():
-        return "1"
     parts = []
     for a in w.letters:
         name = generators[abs(a) - 1]
-        if a > 0:
-            parts.append(name)
-        elif len(name) == 1 and name.isalpha():
-            parts.append(name.upper())
-        else:
-            parts.append(f"{name}^-1")
-    return "".join(parts)
+        if a < 0:
+            name = name.upper() if len(name) == 1 and name.isalpha() else f"{name}^-1"
+        parts.append(name)
+    return "".join(parts) or "1"
 
 
 class Presentation:
@@ -212,12 +207,6 @@ class Presentation:
     def word_str(self, w: Word) -> str:
         return word_to_str(w, self.generators)
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown generator {name!r}") from None
-
     def exponent_matrix(self) -> list[list[int]]:
         """Relator-by-generator matrix of exponent sums (abelianized relators)."""
         return [list(r.exponent_sums(self.ngens)) for r in self.relators]
@@ -227,16 +216,22 @@ class Presentation:
 
         Empty relators are dropped after reduction.
         """
-        k = self.generator_index(name)
-        new_gens = self.generators[:k] + self.generators[k + 1 :]
+        if name not in self.generators:
+            raise PresentationError(f"unknown generator {name!r}")
+        k = self.generators.index(name)
         killed = k + 1  # its letter; those of later generators move down one
-        new_relators = []
-        for r in self.relators:
-            kept = [a for a in r.letters if abs(a) != killed]
-            w = Word(a - 1 if a > killed else a + 1 if a < -killed else a for a in kept)
-            if not w.is_identity():
-                new_relators.append(w)
-        return Presentation(new_gens, new_relators)
+        words = (
+            Word(
+                a - 1 if a > killed else a + 1 if a < -killed else a
+                for a in r.letters
+                if abs(a) != killed
+            )
+            for r in self.relators
+        )
+        return Presentation(
+            self.generators[:k] + self.generators[killed:],
+            [w for w in words if w.letters],
+        )
 
     def simplify(self) -> "Presentation":
         """Drop empty relators and kill generators with single-letter relators,

@@ -474,6 +474,27 @@ class TestGluck:
         assert payload["handle_counts"]["chi"] == [0, 2]
 
 
+# Coxeter groups by name: rank, the m_ij > 2 of the diagram, order
+COXETER = {
+    "A4": (4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 120),
+    "A5": (5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}, 720),
+    "F4": (4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 1152),
+    "A6": (6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}, 5040),
+    "H4": (4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}, 14400),
+}
+
+
+def coxeter_text(rank, m):
+    """The Coxeter presentation as `enum` reads it: s^2 for each generator,
+    then (st)^m_st for each pair, m_st = 2 where the nodes are not joined."""
+    gens = "abcdef"[:rank]
+    rels = [g + g for g in gens]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            rels.append((gens[i] + gens[j]) * m.get((i, j), 2))
+    return f"< {', '.join(gens)} | {', '.join(rels)} >"
+
+
 class TestEnum:
     def test_cyclic(self, capsys):
         code, out, _ = run(capsys, "enum", "<x | x^3>")
@@ -501,6 +522,21 @@ class TestEnum:
         code, out, _ = run(capsys, "enum", "<x | x^3>", "--json")
         payload = json.loads(out)
         assert payload["finite"] is True and payload["order"] == 3
+
+    def test_h4_closes_within_16000_cosets(self, capsys):
+        # every Coxeter generator is an involution, with one table column:
+        # HLT defines 15905 cosets for H4, where with two columns a generator
+        # it defined 30876 and this line printed `exceeded: 16000`
+        code, out, _ = run(capsys, "enum", coxeter_text(*COXETER["H4"][:2]), "--max", "16000")
+        assert code == 0 and out.endswith("order: 14400\n")
+
+    @pytest.mark.parametrize("name", COXETER)
+    def test_coxeter_ladder_stays_decided(self, capsys, name):
+        # the benchmark ladder's enum bound, at which each group was decided
+        # with two columns a generator
+        rank, m, order = COXETER[name]
+        code, out, _ = run(capsys, "enum", coxeter_text(rank, m), "--max-cosets", "60000")
+        assert code == 0 and out.endswith(f"order: {order}\n")
 
     @pytest.mark.parametrize(
         "flags,bound",

@@ -249,6 +249,19 @@ COMPILE_CAPS = [
     (("gluck", "<x, y | xyXY>", "--kill", "x"), 5925),
     (("alex", "<x, y | xyxYXY>"), 8125),
     (WIRTINGER_T23, 8375),
+    # the caps since coset gives each involution one column, paid for by
+    # path halving in CosetTable.rep, one name for the bound-word type, the
+    # package's export table as strings, and shorter kill_generator and
+    # word_to_str
+    (("--version",), 1090),
+    (("enum", "<x | x^3>"), 5800),
+    (("gluck", "<x, y | xyxYXY>", "--kill", "x"), 3350),
+    (("gluck", "<x, y | xyXY>", "--kill", "x"), 5905),
+    (("alex", "<x, y | xyxYXY>"), 8010),
+    (("alex", "<x,y | y^2>"), 9910),
+    (WIRTINGER_T23, 8280),
+    (COXETER_A4, 6065),
+    (("family", "--grid", "0..1", "0..1", "--json"), 10485),
 ]
 
 

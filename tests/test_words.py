@@ -88,6 +88,11 @@ class TestParse:
             return
         assert parse_word(word_to_str(word, gens), gens) == word
 
+    def test_print_forms(self):
+        assert word_to_str(Word(), XY) == "1"
+        assert word_to_str(Word([-1, 2, -3]), ("s0", "x", "\u00df")) == "s0^-1xSS"
+        assert word_to_str(Word([1, -3]), ("a", "b", "c")) == "aC"
+
 
 class TestGroupOps:
     def test_multiply_cancels_middle(self):
