@@ -4,11 +4,11 @@ Certifies finite subgroup index -- in particular group order 1 for a Gluck
 quotient that `simplify` leaves with generators.  `certify_trivial` lives in
 `words` and settles a quotient simplified to < | >, as every K2(p,q) one is,
 without loading this module; it is re-exported here with
-`TrivialityCertificate` and `TableBudgetError`.  An Exceeded outcome is
-inconclusive, never a refutation.  When the abelianized quotient of the
-group by the subgroup is infinite, as for every knot group and the trivial
-subgroup, the index is proved infinite and `exceeded` comes back at once,
-without a table; it is still reported as `exceeded`, like any overflow.
+`TrivialityCertificate`.  An Exceeded outcome is inconclusive, never a
+refutation.  When the abelianized quotient of the group by the subgroup is
+infinite, as for every knot group and the trivial subgroup, the index is
+proved infinite and `exceeded` comes back at once, without a table; it is
+still reported as `exceeded`, like any overflow.
 """
 
 from __future__ import annotations
@@ -17,20 +17,24 @@ from operator import itemgetter
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from .echelon import rank
-from .words import Presentation, TableBudgetError, TrivialityCertificate, Word
+from .words import Presentation, TrivialityCertificate, Word
 from .words import certify_trivial
 
-# Most entries (cosets times 2 * generators) that max_cosets may let a coset
-# table reach; checked before allocating.  Columns grow in blocks but never
-# past one spare slot beyond max_cosets, so a table holds at most
-# (max_cosets + 1) * 2g entries, and fewer where an involution's two columns
-# are one list.  Peak RSS: about 19 bytes an entry on overflow, the worst
-# case (two generators; 320 MB at the limit).  S8 defines 52457 cosets in
-# seven lists, 367199 entries (734398 as the budget counts them): 8.94 MiB of
-# tracemalloc peak, 26 bytes an entry filled and 13 an entry budgeted.
+# Most entries (cosets times column lists, an involution's two columns being
+# one list) that max_cosets may let a coset table reach; checked before
+# allocating.  Columns grow in blocks but never past one spare slot beyond
+# max_cosets, so a list holds at most max_cosets + 1 entries.  Peak RSS on
+# overflow, the worst case: about 28 bytes an entry for two involutions (two
+# lists; some 470 MB at the limit), 18 for two other generators.  S8 defines
+# 52457 cosets in seven lists, 367199 entries: 5.84 MiB of tracemalloc peak
+# in coset_index, 17 bytes an entry.
 MAX_TABLE_ENTRIES = 1 << 24
 # the -1 slots a column grows by when a new coset takes its last slot
 BLOCK = (-1,) * 1024
+
+
+class TableBudgetError(ValueError):
+    """max_cosets could fill more than MAX_TABLE_ENTRIES table entries."""
 
 
 class _TableOverflow(Exception):
@@ -58,8 +62,7 @@ class CosetTable:
     by a block of BLOCK slots when a new coset takes the last one (`grow`),
     to at most max_cosets + 1 slots.  Dead cosets forward to their
     replacement union-find style; once `coincidence` returns, live rows
-    reference only live cosets, so scans read them unresolved.  `renumber`
-    ends the table, making it the final one."""
+    reference only live cosets, so scans read them unresolved."""
 
     def __init__(self, ngens: int, max_cosets: int, twins: Collection[int]):
         """An empty table, but for coset 0.  `twins` are the columns G of the
@@ -210,27 +213,19 @@ class CosetTable:
 
     def complete(self) -> Optional[list[int]]:
         """The live cosets, or None while an entry of a live row is
-        undefined.  Changes nothing, so the enumeration can go on."""
+        undefined; AssertionError where one is a dead coset.  Changes
+        nothing, so the enumeration can go on."""
+        parent = self.parent
         # root, not the enumerate counter: the live cosets' own int objects
-        live = [root for c, root in enumerate(self.parent) if root == c]
-        if any(-1 in _gather(column, live) for column, _ in self.pairs):
-            return None
+        live = [root for c, root in enumerate(parent) if root == c]
+        for column, _ in self.pairs:
+            row = _gather(column, live)
+            # a live coset is its own parent; parent[-1], a coset, is not -1
+            if _gather(parent, row) != row:
+                if -1 in row:
+                    return None
+                raise AssertionError("a live row references a dead coset")
         return live
-
-    def renumber(self, live: list[int]) -> list[tuple[int, ...]]:
-        """The columns of the live rows of a complete table, cosets renumbered
-        0..n-1.  Destroys the table: each column list, once nothing else holds
-        it, is freed as its live rows replace it, before the index ints exist;
-        `parent` becomes the index, whose dead slots live rows never reach."""
-        index, columns = self.parent, self.columns
-        del self.pairs
-        for col in range(len(columns)):
-            columns[col] = _gather(columns[col], live)
-        for k, c in enumerate(live):
-            index[c] = k
-        for col in range(len(columns)):
-            columns[col] = _gather(index, columns[col])
-        return columns
 
 
 class EnumerationOutcome(NamedTuple):
@@ -254,18 +249,18 @@ def _gather(values: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
 
 def _replay(
     columns: Sequence[Sequence[int]],
+    live: Sequence[int],
     relators: Sequence[Word],
     subgroup: Sequence[Word],
 ) -> None:
-    """Every coset closes every relator and every subgroup word fixes coset
-    0, checked a column at a time (all cosets through a relator together,
-    column[c] for each coset c at each letter), else AssertionError.  With
-    no columns (no generators) the table has one coset."""
-    identity = tuple(range(len(columns[0]) if columns else 1))
+    """Every coset of `live`, whose rows hold only cosets of `live`, closes
+    every relator and every subgroup word fixes coset 0, checked a column at
+    a time (all cosets through a relator together, column[c] for each coset
+    c at each letter), else AssertionError."""
+    identity = tuple(live)
     for r in relators:
-        cols = _columns(r)
-        cosets = columns[cols[0]] if cols else identity
-        for col in cols[1:]:
+        cosets = identity
+        for col in _columns(r):
             cosets = _gather(columns[col], cosets)
         if cosets != identity:
             raise AssertionError("relator does not close on the final table")
@@ -279,14 +274,23 @@ def _replay(
 
 def _final_columns(
     p: Presentation, subgroup_words: Sequence[Word], max_cosets: int
-) -> Optional[list[tuple[int, ...]]]:
-    """The columns of the final table of `enumerate_cosets`, cosets
-    renumbered 0..n-1 and replayed, or None where it reports not finite."""
+) -> Optional[tuple[list[list[int]], list[int], list[int]]]:
+    """The column lists of the final HLT table of `enumerate_cosets`, its
+    live cosets and its union-find list, replayed; None where it reports
+    not finite."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    if max_cosets * 2 * p.ngens > MAX_TABLE_ENTRIES:
+    # a generator g whose square is a relator is an involution, and its
+    # column G, 2g + 1 = 2|a| - 1 for either of its letters a, is a twin of
+    # column g: g^2 then binds to no letters and closes on any table, so
+    # like every relator that binds to none it is replayed, not scanned
+    twins = {
+        2 * abs(a) - 1 for r in p.relators for a in r.letters[:1] if r.letters == (a, a)
+    }
+    lists = 2 * p.ngens - len(twins)
+    if max_cosets * lists > MAX_TABLE_ENTRIES:
         raise TableBudgetError(
-            f"max_cosets {max_cosets} times {2 * p.ngens} table columns exceeds "
+            f"max_cosets {max_cosets} times {lists} table columns exceeds "
             f"the budget of {MAX_TABLE_ENTRIES} table entries"
         )
     for w in subgroup_words:
@@ -295,13 +299,6 @@ def _final_columns(
     sums = p.exponent_matrix() + [w.exponent_sums(p.ngens) for w in subgroup_words]
     if rank(sums) < p.ngens:
         return None
-    # a generator g whose square is a relator is an involution, and its
-    # column G, 2g + 1 = 2|a| - 1 for either of its letters a, is a twin of
-    # column g: g^2 then binds to no letters and closes on any table, so
-    # like every relator that binds to none it is replayed, not scanned
-    twins = {
-        2 * abs(a) - 1 for r in p.relators for a in r.letters[:1] if r.letters == (a, a)
-    }
     ct = CosetTable(p.ngens, max_cosets, twins)
     parent, pairs = ct.parent, ct.pairs
     relators = [w for w in map(ct.bind, p.relators) if w[0]]
@@ -310,28 +307,26 @@ def _final_columns(
         scan(0, [ct.bind(w) for w in subgroup_words])
         live = None
         while live is None:
-            # the list iterator also visits cosets defined while it runs
+            # the list iterator also visits cosets defined while it runs; the
+            # table stores root, the coset's own int, never the counter alpha
             for alpha, root in enumerate(parent):
                 if root == alpha:
-                    scan(alpha, relators)
-                    if parent[alpha] == alpha:
+                    scan(root, relators)
+                    if parent[root] == root:
                         for column, inverse in pairs:
-                            if column[alpha] < 0:
+                            if column[root] < 0:
                                 d = len(parent)
                                 if d + 1 == len(column):  # d takes the last slot
                                     ct.grow(d)
                                 parent.append(d)
-                                column[alpha] = d
-                                inverse[d] = alpha
+                                column[root] = d
+                                inverse[d] = root
             # a late coincidence can clear an entry of an earlier live row
             live = ct.complete()
     except _TableOverflow:
         return None
-    pairs = relators = column = inverse = None  # renumber frees columns
-    final = ct.renumber(live)
-    del ct, parent, scan  # free the index before the replay
-    _replay(final, p.relators, subgroup_words)
-    return final
+    _replay(ct.columns, live, p.relators, subgroup_words)
+    return ct.columns, live, parent
 
 
 def enumerate_cosets(
@@ -346,9 +341,9 @@ def enumerate_cosets(
     generator g with g^2 or g^-2 among the relators is an involution and
     gets one column for g and g^-1 both (Holt, Eick and O'Brien, ch. 5), so
     HLT defines about half as many cosets on a Coxeter group, and those
-    relators close on every table: they are replayed, not scanned.  The
-    numbering of the table's cosets follows from those columns.  Every
-    finite outcome is replayed against every relator before returning.
+    relators close on every table: they are replayed, not scanned.  Every
+    finite outcome is replayed on the HLT table against every relator, and
+    only then are its live cosets renumbered 0..n-1, in order.
     Raises TableBudgetError, a ValueError, when max_cosets could fill more
     than MAX_TABLE_ENTRIES.
 
@@ -362,8 +357,17 @@ def enumerate_cosets(
     final = _final_columns(p, subgroup_words, max_cosets)
     if final is None:
         return EnumerationOutcome(False, None, max_cosets)
+    # the union-find list becomes the index, whose dead slots live rows
+    # never reach; each column list is freed once the tuple of its
+    # renumbered live rows replaces it, and live and the index before rows
+    columns, live, index = final
+    for k, c in enumerate(live):
+        index[c] = k
+    for col in range(len(columns)):
+        columns[col] = _gather(index, _gather(columns[col], live))
+    del final, live, index
     # with no generators there are no columns, and coset 0 is the only one
-    table = tuple(zip(*final)) or ((),)
+    table = tuple(zip(*columns)) or ((),)
     return EnumerationOutcome(True, len(table), max_cosets, table)
 
 
@@ -373,6 +377,6 @@ def coset_index(
     max_cosets: int = 10000,
 ) -> Optional[int]:
     """The index `enumerate_cosets` reports, None where it reports not
-    finite, read off the final columns without building the rows."""
+    finite: the count of live cosets of the replayed HLT table."""
     final = _final_columns(p, subgroup_words, max_cosets)
-    return None if final is None else len(final[0]) if final else 1
+    return None if final is None else len(final[1])

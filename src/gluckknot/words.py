@@ -275,10 +275,6 @@ class Presentation:
         return cls(generators, relators)
 
 
-class TableBudgetError(ValueError):
-    """max_cosets could fill more than `coset.MAX_TABLE_ENTRIES` table entries."""
-
-
 class TrivialityCertificate(NamedTuple):
     trivial: bool
     order: Optional[int]  # finite order found, when any
@@ -296,7 +292,7 @@ def certify_trivial(p: Presentation, max_cosets: int = 10000) -> TrivialityCerti
     Where `simplify` reaches no generators, as for every K2(p,q) quotient,
     the group is trivial and no table is built.  Any other quotient is
     enumerated by `coset.coset_index`, which loads only then and may raise
-    TableBudgetError.  Raises ValueError when max_cosets < 1.
+    `coset.TableBudgetError`.  Raises ValueError when max_cosets < 1.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")

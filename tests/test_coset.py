@@ -139,11 +139,19 @@ class TestTableBudget:
         outcome = enumerate_cosets(cyclic(1), (), MAX_TABLE_ENTRIES // 2)
         assert outcome.finite and outcome.order == 1
 
+    def test_involution_list_counted_once(self):
+        # a's two columns are one list: one table entry a coset
+        p = Presentation.parse("< a | aa >")
+        assert enumerate_cosets(p, (), MAX_TABLE_ENTRIES).order == 2
+        with pytest.raises(TableBudgetError, match=str(MAX_TABLE_ENTRIES)):
+            enumerate_cosets(p, (), MAX_TABLE_ENTRIES + 1)
+
     def test_bound_past_budget_refused(self):
         with pytest.raises(TableBudgetError, match=str(MAX_TABLE_ENTRIES)):
             enumerate_cosets(cyclic(1), (), MAX_TABLE_ENTRIES // 2 + 1)
+        # y^2 is a relator of dihedral(3), so y has one column list of three
         with pytest.raises(ValueError):
-            certify_trivial(dihedral(3), MAX_TABLE_ENTRIES // 4 + 1)
+            certify_trivial(dihedral(3), MAX_TABLE_ENTRIES // 3 + 1)
 
     def test_largest_benchmark_bound_inside_budget(self):
         # six generators at 60000 cosets (the Coxeter A6 case): under 5%
@@ -654,6 +662,15 @@ INVOLUTION_LETTERS = [
 ]
 
 
+def uncancelled(self, word):
+    """`CosetTable.bind` without its cancellation of involution letters."""
+    cols = [letter_column(a) for a in word.letters]
+    return (
+        tuple(self.columns[k] for k in cols),
+        tuple(self.columns[k ^ 1] for k in cols),
+    )
+
+
 class TestInvolutionColumns:
     """A generator whose square is a relator is an involution, and its two
     table columns are one list.  `bind` cancels its letters in pairs (gg,
@@ -709,24 +726,32 @@ class TestInvolutionColumns:
 
     def test_cancellation_is_needed(self, monkeypatch):
         # without it the scans define over an entry they take for a gap, and
-        # the replay of the final table refuses
-        def uncancelled(self, word):
-            cols = [letter_column(a) for a in word.letters]
-            return (
-                tuple(self.columns[k] for k in cols),
-                tuple(self.columns[k ^ 1] for k in cols),
-            )
-
+        # the final table is refused: a live row references a dead coset, or
+        # the replay finds a relator that does not close
         monkeypatch.setattr(CosetTable, "bind", uncancelled)
         refused = []
         for p, subgroup, _ in INVOLUTION_LETTERS:
             try:
                 enumerate_cosets(p, [p.word(w) for w in subgroup], 100)
             except AssertionError as exc:
-                assert "does not close" in str(exc)
+                assert re.search("does not close|dead coset", str(exc))
                 refused.append((p, subgroup))
         # here: < x, y | xx, yyxxY > and S3 with the subgroup word xxy
         assert refused
+
+    @pytest.mark.parametrize(
+        "text", ["< x, y | xx, yxxy, X >", "< x, y | xx, X, yXXyxx >"]
+    )
+    def test_corrupt_table_is_an_internal_error(self, monkeypatch, capsys, text):
+        # the replay of the renumbered copy once read these tables past their
+        # last coset and raised IndexError, a traceback instead of exit 3
+        monkeypatch.setattr(CosetTable, "bind", uncancelled)
+        p = Presentation.parse(text)
+        for run in (enumerate_cosets, coset_index):
+            with pytest.raises(AssertionError):
+                run(p, (), 100)
+        assert main(["enum", text]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
 
 
 A5 = coxeter(5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3})
@@ -735,10 +760,60 @@ A6 = coxeter(6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3})
 H4 = coxeter(4, {(0, 1): 5, (1, 2): 3, (2, 3): 3})
 
 
+def enumeration_peak(p):
+    """The tracemalloc peak of a finite `enumerate_cosets(p, (), 60000)`."""
+    tracemalloc.start()
+    try:
+        outcome = enumerate_cosets(p, (), 60000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.finite
+    return peak
+
+
+def reader_peaks(p):
+    """The tracemalloc peak of each reader, enumerate_cosets and
+    coset_index, on p at bound 60000.  Each is warmed up first, since a
+    repeated call peaks a few bytes lower, and runs with the collector off:
+    collected garbage left by earlier tests would move either peak."""
+    coset_index(p, (), 60000)
+    enumerate_cosets(p, (), 60000)
+    peaks = {}
+    for run in (enumerate_cosets, coset_index):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run(p, (), 60000)
+            peaks[run] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    return peaks
+
+
+# (presentation, MiB): bounds on the tracemalloc peaks of the two readers.
+# Each group was the tightest when it was added; the earlier ones stay.
+# enumerate_cosets: 5.17 and 2.31 MiB while the whole HLT table outlived the
+# renumbering, 3.34 and 1.71 while each involution had two column lists
+ENUMERATION_PEAKS = [(H4, 3.0), (A6, 1.4)]
+INDEX_PEAKS = [
+    # 3.34 and 1.71 MiB while each involution had two column lists
+    (H4, 2.75),
+    (A6, 1.15),
+    # the index reader builds no rows; since it replays the HLT lists in
+    # place, without a renumbered copy (2.52 and 1.03 MiB with one)
+    (H4, 1.8),
+    (A6, 0.8),
+]
+
+
 class TestFinalTable:
     """The completeness check at the end of each pass leaves the table as it
-    was; the renumbering after the last pass frees it column by column, and
-    the replay of the renumbered columns gates every finite outcome."""
+    was and refuses a live row that references a dead coset; the replay of
+    the HLT column lists gates every finite outcome, and only
+    `enumerate_cosets` renumbers the table, freeing it column by column."""
 
     @pytest.mark.parametrize("p", [A5, H4], ids=["A5", "H4"])
     def test_completeness_check_destroys_nothing(self, monkeypatch, p):
@@ -756,17 +831,32 @@ class TestFinalTable:
         assert_matches_seed(p, (), 60000)
         assert calls == [True, True]
 
+    def test_complete_tells_a_gap_from_a_dead_coset(self):
+        # Z/2 on one generator, written by hand: x swaps cosets 0 and 1
+        table = CosetTable(1, 10, set())
+        x, X = table.columns
+        table.parent.append(1)
+        x[:] = X[:] = [1, 0, -1]
+        assert table.complete() == [0, 1]
+        X[1] = -1
+        assert table.complete() is None
+        X[1] = 0
+        table.parent[1] = 0  # coset 1 dies, yet the row of coset 0 names it
+        with pytest.raises(AssertionError, match="dead coset"):
+            table.complete()
+
     def test_replay_gate_guards_the_pipeline(self, monkeypatch, capsys):
-        renumber = CosetTable.renumber
+        complete = CosetTable.complete
 
-        def swapped(self, live):
-            columns = renumber(self, live)
-            column = list(columns[0])
-            column[0], column[1] = column[1], column[0]
-            columns[0] = tuple(column)
-            return columns
+        def swapped(self):
+            # two live entries of a complete table swapped: every entry of a
+            # live row is still a live coset, but x^4 no longer closes
+            live = complete(self)
+            column, (a, b) = self.columns[0], live[:2]
+            column[a], column[b] = column[b], column[a]
+            return live
 
-        monkeypatch.setattr(CosetTable, "renumber", swapped)
+        monkeypatch.setattr(CosetTable, "complete", swapped)
         with pytest.raises(AssertionError, match="relator does not close"):
             enumerate_cosets(dihedral(4))
         code = main(["enum", "<x, y | xx, yy, xyxyxyxy>"])
@@ -777,39 +867,15 @@ class TestFinalTable:
             "internal error: relator does not close on the final table\n",
         )
 
-    # 5.17 and 2.31 MiB while the whole HLT table outlived the renumbering,
-    # 3.34 and 1.71 while each involution had two column lists
-    @pytest.mark.parametrize("p,mib", [(H4, 3.0), (A6, 1.4)], ids=["H4", "A6"])
+    @pytest.mark.parametrize("p,mib", ENUMERATION_PEAKS, ids=["H4", "A6"])
     def test_memory_peak(self, p, mib):
-        tracemalloc.start()
-        try:
-            outcome = enumerate_cosets(p, (), 60000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert outcome.finite
-        assert peak < mib * 2**20
+        assert enumeration_peak(p) < mib * 2**20
 
-
-    # 3.34 and 1.71 MiB while each involution had two column lists
-    @pytest.mark.parametrize("p,mib", [(H4, 2.75), (A6, 1.15)], ids=["H4", "A6"])
+    @pytest.mark.parametrize(
+        "p,mib", INDEX_PEAKS, ids=["H4", "A6", "H4-in-place", "A6-in-place"]
+    )
     def test_index_memory_peak(self, p, mib):
-        # the index reader builds no rows; both readers peak on the same HLT
-        # table, and once warmed up a repeated call peaks a few bytes lower.
-        # Collected garbage left by earlier tests would move either peak.
-        coset_index(p, (), 60000)
-        enumerate_cosets(p, (), 60000)
-        peaks = {}
-        for run in (enumerate_cosets, coset_index):
-            gc.collect()
-            gc.disable()
-            tracemalloc.start()
-            try:
-                run(p, (), 60000)
-                peaks[run] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                gc.enable()
+        peaks = reader_peaks(p)
         assert peaks[coset_index] <= peaks[enumerate_cosets]
         assert peaks[coset_index] < mib * 2**20
 
@@ -1146,7 +1212,7 @@ def trace_replay(table, relators, subgroup):
 
 def replay_rows(table, relators, subgroup):
     """`_replay` on a table given by its rows, as `trace_replay` reads it."""
-    _replay(list(zip(*table)), relators, subgroup)
+    _replay(list(zip(*table)), range(len(table)), relators, subgroup)
 
 
 def accepts(replay, table, relators, subgroup):
@@ -1196,17 +1262,31 @@ class TestColumnReplay:
         table = [list(row) for row in enumerate_cosets(p, (), 100).table]
         table[0][0] = 0 if table[0][0] else 1
         with pytest.raises(AssertionError, match="relator does not close"):
-            _replay(list(zip(*table)), p.relators, ())
+            _replay(list(zip(*table)), range(len(table)), p.relators, ())
         q = cyclic(6)
         table = enumerate_cosets(q, (), 100).table
         with pytest.raises(AssertionError, match="moves the base coset"):
-            _replay(list(zip(*table)), q.relators, [q.word("x")])
+            _replay(list(zip(*table)), range(len(table)), q.relators, [q.word("x")])
 
     def test_one_coset(self):
         # gathering one coset, where itemgetter alone would return a bare int
         p = Presentation.parse("< x, y | x^2y, xy >")
         outcome = enumerate_cosets(p, [p.word("xY")], 10)
         assert outcome.table == ((0, 0, 0, 0),)
-        _replay(((0,), (0,), (0,), (0,)), p.relators, [p.word("xY")])
+        _replay(((0,), (0,), (0,), (0,)), range(1), p.relators, [p.word("xY")])
         with pytest.raises(AssertionError):
-            _replay(((1, 0), (1, 0)), [Word([1, 1, 1])], ())
+            _replay(((1, 0), (1, 0)), range(2), [Word([1, 1, 1])], ())
+
+
+if __name__ == "__main__":
+    # each tracemalloc peak that TestFinalTable bounds, its tightest bound
+    # and the room left under that bound
+    print("MiB\tbound\troom\treader")
+    for name, p in (("H4", H4), ("A6", A6)):
+        peaks = {enumerate_cosets: enumeration_peak(p)}
+        peaks[coset_index] = reader_peaks(p)[coset_index]
+        readers = (enumerate_cosets, ENUMERATION_PEAKS), (coset_index, INDEX_PEAKS)
+        for run, bounds in readers:
+            bound = min(mib for q, mib in bounds if q is p)
+            mib = peaks[run] / 2**20
+            print(f"{mib:.2f}\t{bound}\t{bound - mib:.2f}\t{run.__name__} {name}")
