@@ -60,8 +60,8 @@ def run(args) -> tuple[dict | None, Iterable[str]]:
         after = gluck_handle_counts(before, GluckVariant(args.variant))
         chi = [before.euler_characteristic, after.euler_characteristic]
         payload["handle_counts"] = {
-            "complement": list(before.as_tuple()),
-            "gluck": list(after.as_tuple()),
+            "complement": list(before),
+            "gluck": list(after),
             "chi": chi,
         }
         lines += [f"counts: {before} -> {after}", f"chi: {chi[0]} -> {chi[1]}"]

@@ -58,11 +58,12 @@ class CosetTable:
     image under column col (2g for generator g, 2g + 1 for its inverse), -1
     if undefined; the two columns of an involution are one list.  Every slot
     past the last coset is -1 and each column has at least one, so
-    column[-1] is -1 and a walk that meets a gap stays at -1.  Columns grow
-    by a block of BLOCK slots when a new coset takes the last one (`grow`),
-    to at most max_cosets + 1 slots.  Dead cosets forward to their
-    replacement union-find style; once `coincidence` returns, live rows
-    reference only live cosets, so scans read them unresolved."""
+    column[-1] is -1 and a walk that meets a gap stays at -1.  `define`
+    makes every new coset, and grows the columns by a block of BLOCK slots
+    when it takes the last one, to at most max_cosets + 1 slots.  Dead
+    cosets forward to their replacement union-find style; once
+    `coincidence` returns, live rows reference only live cosets, so scans
+    read them unresolved."""
 
     def __init__(self, ngens: int, max_cosets: int, twins: Collection[int]):
         """An empty table, but for coset 0.  `twins` are the columns G of the
@@ -142,6 +143,23 @@ class CosetTable:
                     parent[e] = x
                     queue.append(e)
 
+    def define(self, column: list[int], inverse: list[int], c: int) -> int:
+        """Make a new coset d the image of c under `column`, and c the
+        image of d under `inverse`; return d.  If d takes the last slot,
+        every column list first grows by a block, to at most max_cosets + 1
+        slots, or _TableOverflow is raised at max_cosets, nothing written."""
+        parent = self.parent
+        d = len(parent)
+        if d + 1 == len(column):  # d takes the last slot
+            if d >= self.max_cosets:
+                raise _TableOverflow
+            for column_list, _ in self.pairs:
+                column_list.extend(BLOCK[: self.max_cosets - d])
+        parent.append(d)
+        column[c] = d
+        inverse[d] = c
+        return d
+
     def scan_and_fill(self, start: int, words: Sequence[Bound]) -> None:
         """Scan words bound by `bind` from the live coset `start`, in
         order, defining cosets at the first gap of each until it closes or
@@ -154,8 +172,8 @@ class CosetTable:
         Defining fills one gap and changes no other entry: the backward scan
         resumes where it stopped, and the forward one stops at the next
         letter, since the new coset's only entry is the inverse of the letter
-        that defined it.  A new coset that takes the last slot of the columns
-        grows them first, or overflows at max_cosets.
+        that defined it.  `define` makes each new coset, growing the columns
+        first when it takes their last slot, or overflowing at max_cosets.
         """
         parent = self.parent
         for cols, back in words:
@@ -190,26 +208,10 @@ class CosetTable:
                     cols[i][f] = b
                     back[i][b] = f
                     break
-                d = len(parent)
-                column = cols[i]
-                if d + 1 == len(column):  # d takes the last slot
-                    self.grow(d)
-                parent.append(d)
-                column[f] = d
-                back[i][d] = f
-                f = d
+                f = self.define(cols[i], back[i], f)
                 i += 1
             if parent[start] != start:
                 return
-
-    def grow(self, d: int) -> None:
-        """Make room past coset d, which takes the last slot of every column:
-        extend each by a block of -1 slots, never past max_cosets + 1 slots.
-        Raises _TableOverflow instead when d would pass the bound."""
-        if d >= self.max_cosets:
-            raise _TableOverflow
-        for column, _ in self.pairs:
-            column.extend(BLOCK[: self.max_cosets - d])
 
     def complete(self) -> Optional[list[int]]:
         """The live cosets, or None while an entry of a live row is
@@ -315,12 +317,7 @@ def _final_columns(
                     if parent[root] == root:
                         for column, inverse in pairs:
                             if column[root] < 0:
-                                d = len(parent)
-                                if d + 1 == len(column):  # d takes the last slot
-                                    ct.grow(d)
-                                parent.append(d)
-                                column[root] = d
-                                inverse[d] = root
+                                ct.define(column, inverse, root)
             # a late coincidence can clear an entry of an earlier live row
             live = ct.complete()
     except _TableOverflow:

@@ -54,7 +54,7 @@ class HandleCounts(_HandleCountFields):
         return tuple(self)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(h) for h in self.as_tuple()) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 class GluckVariant(enum.Enum):
@@ -74,8 +74,14 @@ class ParityClass(enum.Enum):
         return _PARITY[p % 2, q % 2]
 
 
-# (p % 2, q % 2) -> parity class, in the order the members are declared
-_PARITY = dict(zip([(0, 0), (1, 1), (1, 0), (0, 1)], ParityClass))
+# the relator of K2(p,q) by (p % 2, q % 2), in ParityClass's member order
+_FAMILY_RELATORS = {
+    (0, 0): "xyxy^-1x^-1yxyx^-1y^-1",
+    (1, 1): "xyxyx^-1y^-1xy^-1x^-1y^-1",
+    (1, 0): "xyxy^-1x^-1y^-1xyx^-1y^-1",
+    (0, 1): "xyxyx^-1yxy^-1x^-1y^-1",
+}
+_PARITY = dict(zip(_FAMILY_RELATORS, ParityClass))
 
 
 def complement_handle_counts(m: int, n: int) -> HandleCounts:
@@ -97,7 +103,7 @@ def gluck_handle_counts(c: HandleCounts, variant: GluckVariant) -> HandleCounts:
     """
     m = c.h1 - 1
     n = c.h3 - 1
-    if c.as_tuple() != (1, m + 1, m + n, n + 1, 1) or m < 1 or n < 1:
+    if c != (1, m + 1, m + n, n + 1, 1) or m < 1 or n < 1:
         raise InvalidRibbonError(f"{c} is not a ribbon complement handle count")
     if variant is GluckVariant.SINGLE:
         return HandleCounts(1, m, m + n, n, 1)
@@ -178,18 +184,12 @@ def gluck_quotient(k: RibbonTwoKnot, meridian: str) -> Presentation:
 
 
 _FAMILY_GENERATORS = ("x", "y")
-_FAMILY_RELATORS = {
-    ParityClass.EVEN_EVEN: "xyxy^-1x^-1yxyx^-1y^-1",
-    ParityClass.ODD_ODD: "xyxyx^-1y^-1xy^-1x^-1y^-1",
-    ParityClass.ODD_EVEN: "xyxy^-1x^-1y^-1xyx^-1y^-1",
-    ParityClass.EVEN_ODD: "xyxyx^-1yxy^-1x^-1y^-1",
-}
 
 
 def family_relator(p: int, q: int) -> Word:
     """The knot-group relator of K2(p,q), chosen by the parity of (p, q) as the
     paper gives it: no per-(p,q) ribbon construction is here to check that."""
-    return parse_word(_FAMILY_RELATORS[ParityClass.of(p, q)], _FAMILY_GENERATORS)
+    return parse_word(_FAMILY_RELATORS[p % 2, q % 2], _FAMILY_GENERATORS)
 
 
 def family_knot(p: int, q: int) -> RibbonTwoKnot:
@@ -308,12 +308,12 @@ def family_record(p: int, q: int, max_cosets: int = 10000) -> dict:
         "h1": str(alexander.h1),
         "gluck_pi1": cert.status,
         "handle_counts": {
-            "complement": list(complement.as_tuple()),
+            "complement": list(complement),
             "gluck_single": list(
-                gluck_handle_counts(complement, GluckVariant.SINGLE).as_tuple()
+                gluck_handle_counts(complement, GluckVariant.SINGLE)
             ),
             "gluck_double": list(
-                gluck_handle_counts(complement, GluckVariant.DOUBLE).as_tuple()
+                gluck_handle_counts(complement, GluckVariant.DOUBLE)
             ),
         },
         "spun_obstruction": spun_obstruction(alexander.polynomial).value,

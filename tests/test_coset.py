@@ -16,6 +16,7 @@ from gluckknot.coset import (
     MAX_TABLE_ENTRIES,
     CosetTable,
     TableBudgetError,
+    _TableOverflow,
     _replay,
     certify_trivial,
     coset_index,
@@ -999,17 +1000,29 @@ class TestBlockGrowth:
     @pytest.mark.parametrize("n", [1, 2, len(BLOCK) - 1, len(BLOCK), len(BLOCK) + 1])
     def test_bound_edges(self, monkeypatch, n, max_cosets):
         grown = []
-        grow = CosetTable.grow
+        define = CosetTable.define
 
-        def checked(self, d):
-            assert {len(column) for column in self.columns} == {d + 1}
-            grow(self, d)  # raises when d reaches the bound, growing nothing
+        def checked(self, column, inverse, c):
+            d = len(self.parent)
+            if d + 1 < len(column):
+                return define(self, column, inverse, c)
+            # the new coset d takes the last slot of every column
+            assert {len(col) for col in self.columns} == {d + 1}
+            try:
+                define(self, column, inverse, c)
+            except _TableOverflow:
+                # at the bound, before anything is written
+                assert d == self.max_cosets and len(self.parent) == d
+                assert column[c] == -1 and inverse[d] == -1
+                raise
             grown.append(d)
-            for column in self.columns:
-                assert d + 2 <= len(column) <= self.max_cosets + 1
-                assert column[d:] == [-1] * (len(column) - d)
+            for col in self.columns:
+                assert d + 2 <= len(col) <= self.max_cosets + 1
+                assert col[d + 1 :] == [-1] * (len(col) - d - 1)
+            assert column[c] == d and inverse[d] == c
+            return d
 
-        monkeypatch.setattr(CosetTable, "grow", checked)
+        monkeypatch.setattr(CosetTable, "define", checked)
         outcome = assert_matches_seed(cyclic(n), (), max_cosets)
         # <x | x^n> defines exactly n cosets
         assert outcome.order == (n if max_cosets >= n else None)

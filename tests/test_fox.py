@@ -4,9 +4,10 @@ import io
 import operator
 import pickle
 import random
+import re
 import time
 from itertools import combinations
-from math import isqrt, prod
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -858,3 +859,104 @@ def test_wide_entry_of_a_later_column_refused_before_it_is_built(monkeypatch):
         code = cli.main(["alex", text])
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue() == f"error: {message}\n"
+
+
+# The one-minor check of `minors._one_minor_certifies` works within the
+# bounds of `first_ideal_minors`; past them it gives up, and Delta, which
+# the elimination left unproved, is printed gcd-only instead of refused.
+# Seventy more copies of XXYX make C(72, 2) = 2556 row subsets of size 2.
+WITHIN_ROW_SUBSETS = "< x, y, z | XXYX, XYxyyXY >"
+PAST_ROW_SUBSETS = "< x, y, z | " + "XXYX, " * 71 + "XYxyyXY >"
+
+
+def test_one_minor_check_past_its_bound_stays_gcd_only(monkeypatch):
+    within = Presentation.parse(WITHIN_ROW_SUBSETS)
+    past = Presentation.parse(PAST_ROW_SUBSETS)
+    assert comb(len(past.relators), 2) == 2556 > MAX_ROW_SUBSETS
+    with pytest.raises(MinorBoundError, match="2556 row subsets of size 2"):
+        first_ideal_minors(past)
+    verdicts = []
+    check = minors._one_minor_certifies
+
+    def spy(p, weights, delta):
+        verdicts.append(check(p, weights, delta))
+        return verdicts[-1]
+
+    monkeypatch.setattr(minors, "_one_minor_certifies", spy)
+    results = [alexander_polynomial(p) for p in (within, past)]
+    # both eliminations leave E1 = (1) unproved; only the first check runs
+    assert verdicts == [True, False]
+    assert [r.polynomial for r in results] == [LaurentPolynomial.constant(1)] * 2
+    assert [r.certified_principal for r in results] == [True, False]
+
+
+def _drop_last_fox_entry(monkeypatch):
+    row_of = fox._fox_row
+
+    def dropped(r, weights):
+        return row_of(r, weights)[:-1] + [{}]
+
+    monkeypatch.setattr(fox, "_fox_row", dropped)
+
+
+def _zero_fox_rows(monkeypatch):
+    monkeypatch.setattr(
+        fox, "_fox_rows", lambda p, weights: [[{}] * len(weights) for _ in p.relators]
+    )
+
+
+def _delta_times_t_plus_one(monkeypatch):
+    eliminate = fox._eliminate
+
+    def eliminated(rows):
+        delta, exact = eliminate(rows)
+        return delta * L("t+1"), exact
+
+    monkeypatch.setattr(fox, "_eliminate", eliminated)
+
+
+def _inexact_division(monkeypatch):
+    monkeypatch.setattr(minors, "_div_exact", lambda num, den: None)
+
+
+def _zero_minors(monkeypatch):
+    def zeros(rows, mul, sub, div, one):
+        return [sub(one, one)] * (len(rows) + 1)
+
+    monkeypatch.setattr(minors, "maximal_minors", zeros)
+
+
+def _product_for_gcd(monkeypatch):
+    monkeypatch.setattr(minors, "laurent_gcd", operator.mul)
+
+
+# Each invariant that fox and minors check, broken by one mutation, with a
+# presentation whose path reaches that check and the message it raises.
+BROKEN_INVARIANTS = [
+    (_drop_last_fox_entry, "<x, y | xyxYXY>", "abelianized row identity failed"),
+    (_zero_fox_rows, "<x, y | xyxYXY>", "the Alexander matrix has rank below n - 1"),
+    (_delta_times_t_plus_one, "<x, y | xyxYXY>", "Delta(1) = 2, yet H1 = Z"),
+    (_inexact_division, "< x, y, z | yy, zz >", "inexact division in Bareiss"),
+    (_zero_minors, "<x, y | yy>", "all Alexander minors vanish"),
+    (_product_for_gcd, "<x, y | yy, xyXY>", "gcd fails to divide a minor"),
+]
+BROKEN_IDS = [mutate.__name__.lstrip("_") for mutate, _, _ in BROKEN_INVARIANTS]
+
+
+@pytest.mark.parametrize("mutate,text,message", BROKEN_INVARIANTS, ids=BROKEN_IDS)
+def test_broken_invariant_raises(monkeypatch, mutate, text, message):
+    p = Presentation.parse(text)
+    alexander_polynomial(p)  # sound before the mutation
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        alexander_polynomial(p)
+
+
+@pytest.mark.parametrize("mutate,text,message", BROKEN_INVARIANTS, ids=BROKEN_IDS)
+def test_broken_invariant_exits_3(monkeypatch, mutate, text, message):
+    mutate(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["alex", text])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().startswith(f"internal error: {message}")

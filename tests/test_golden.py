@@ -5,8 +5,10 @@ name), `exit`, `stdout` and, where recorded, `stderr`.
 
 `alex_golden.json` holds the Wirtinger T(2,3..11) texts of the benchmark
 ladder (seed 0), the four K2(p,q) parity-class presentations (the relators
-of `test_fox.GOLDEN`), `<x, y | yy, xyXY>` and `<x, y | x^2 y^-3>`, each in
-text and `--json` form.
+of `test_fox.GOLDEN`), `<x, y | yy, xyXY>` and `<x, y | x^2 y^-3>`, and
+`< x, y, z | XXYX, XYxyyXY >`, whose one-minor check certifies Delta, beside
+the same with 70 more copies of XXYX, whose 2556 row subsets put that check
+past its bound so Delta is printed gcd-only, each in text and `--json` form.
 
 `cli_golden.json` covers every subcommand: `gluck` with both meridians,
 bands, a non-trivial finite and an infinite quotient and its refusals;
@@ -20,7 +22,9 @@ The last cases pin argparse's wording of the errors that a wrong entry in a
 subcommand's GRAMMAR would change: an invalid int value for `family`'s `p`
 and for `gluck --bands`, `family --grid` with one value, `enum --subgroup`
 with none, an unrecognized argument after `alex`'s presentation, and `alex`
-with no presentation.
+with no presentation.  After them come the three refusals of
+`Presentation.parse`: no `< >` (`alex`), no `|` (`enum`) and a generator
+that is not one lowercase letter (`gluck`).
 """
 
 import contextlib

@@ -187,6 +187,19 @@ def test_smith_form_without_left_transform_stays_lean():
     assert peak < 7_000_000
 
 
+class TestShapeChecks:
+    def test_ragged_rows_rejected(self):
+        for data in ([[1, 2], [3]], [[1], [2, 3]], [[], [0]]):
+            with pytest.raises(ValueError, match="ragged rows"):
+                IntMatrix(data)
+
+    def test_column_count_must_match(self):
+        assert IntMatrix([[1, 2]], cols=2).cols == 2
+        for data, cols in (([[1, 2]], 3), ([[1, 2], [3, 4]], 1), ([[]], 1)):
+            with pytest.raises(ValueError, match="cols does not match row width"):
+                IntMatrix(data, cols=cols)
+
+
 class TestCokernel:
     def test_infinite_cyclic(self):
         ab = cokernel(IntMatrix([[1, 1]]))

@@ -235,6 +235,18 @@ class TestGcdDivides:
     def test_divides_shift_pair(self):
         assert divide_exact(L("2-2t+t^2"), L("2t-2t^2+t^3")) == L("t")
 
+    def test_divide_by_zero_rejected(self):
+        for b in (L("0"), L("t-1")):
+            with pytest.raises(ValueError, match="division by the zero polynomial"):
+                divide_exact(L("0"), b)
+
+    def test_immutable(self):
+        a = L("t-1")
+        for name in ("low", "dense", "other"):
+            with pytest.raises(AttributeError, match="LaurentPolynomial is immutable"):
+                setattr(a, name, 0)
+        assert a == L("t-1") and (a.low, a.dense) == (0, (-1, 1))
+
     @given(nonzero_poly_st, poly_st)
     def test_divide_exact_inverts_multiplication(self, a, q):
         assert divide_exact(a, a * q) == q

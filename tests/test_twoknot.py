@@ -157,6 +157,17 @@ class TestRibbonModel:
         with pytest.raises(AttributeError):
             k.label = "renamed"
 
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_relator_count_enforced(self, count):
+        with pytest.raises(InvalidRibbonError, match="relator count must be between"):
+            family_knot(0, 0)._replace(
+                complement_relators=(family_relator(0, 0),) * count
+            )
+
+    def test_meridian_required(self):
+        with pytest.raises(InvalidRibbonError, match="at least one meridian"):
+            family_knot(0, 0)._replace(meridian_generators=())
+
     def test_generator_count_enforced(self):
         with pytest.raises(InvalidRibbonError):
             RibbonTwoKnot(

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gluckknot.words import (
+    MAX_GENERATORS,
     MAX_WORD_LETTERS,
     Presentation,
     PresentationError,
@@ -218,6 +220,44 @@ class TestPresentation:
     def test_out_of_range_relator_rejected(self):
         with pytest.raises(PresentationError):
             Presentation(("x",), (Word([2]),))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x, y | xy", "presentation must be bracketed in < >: 'x, y | xy'"),
+            ("< x, y >", "presentation needs a '|' separating generators"),
+            ("<x, y xy>", "presentation needs a '|' separating generators"),
+            ("<xy | x>", "single lowercase letters, got 'xy'"),
+            ("< X | >", "single lowercase letters, got 'X'"),
+            ("< x, 1 | >", "single lowercase letters, got '1'"),
+        ],
+    )
+    def test_parse_refusals(self, text, message):
+        with pytest.raises(PresentationError, match=re.escape(message)):
+            Presentation.parse(text)
+
+    def test_generator_count_cap(self):
+        names = [f"g{i}" for i in range(MAX_GENERATORS + 1)]
+        assert Presentation(names[:-1]).ngens == MAX_GENERATORS
+        message = f"at most {MAX_GENERATORS} generators supported, got {len(names)}"
+        with pytest.raises(PresentationError, match=message):
+            Presentation(names)
+
+    def test_letter_zero_rejected(self):
+        for letters in ([0], [1, 0, -1], [1, -1, 0]):
+            with pytest.raises(ValueError, match="letter 0"):
+                Word(letters)
+
+    def test_values_are_immutable(self):
+        word, p = w("xy"), Presentation.parse("< x | xx >")
+        for value, name in ((word, "Word"), (p, "Presentation")):
+            attribute = next(iter(type(value).__slots__))
+            before = getattr(value, attribute)
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                setattr(value, attribute, ())
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                value.other = ()
+            assert getattr(value, attribute) == before
 
     def test_kill_generator_ee_x(self):
         p = Presentation.parse("< x, y | xyxYXyxyXY >")
